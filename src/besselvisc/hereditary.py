@@ -10,7 +10,6 @@ tail-corrected material functions identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,11 @@ from .errors import ExtrapolationError
 from .specfun import order_value
 from .timedomain import (
     DEFAULT_POLICY,
-    DEFAULT_ZERO_TOL,
     MaterialCurve,
     SeriesPolicy,
+    _sized_table,
     prony_modes,
-    required_zero_count,
 )
-from .zeros import compute_zeros
 
 __all__ = ["LoadHistory", "strain_response", "stress_response"]
 
@@ -121,11 +118,7 @@ def _respond(nu: float, kind: str, history: LoadHistory, t_eval, policy: SeriesP
     # kernel lags down to t_kernel; shorter lags ride on the surrogate tail
     # mode, whose integrated weight is exact.
     t_kernel = max(policy.min_time, 1e-4)
-    amp = 4.0 * (nu + 1.0)
-    count = min(required_zero_count(zeros_order, t_kernel, policy.tail_tol, amp),
-                policy.max_terms + 1)
-    count = 64 * math.ceil(count / 64)
-    table = compute_zeros(zeros_order, count, DEFAULT_ZERO_TOL)
+    table = _sized_table(zeros_order, t_kernel, policy, 4.0 * (nu + 1.0))
     modes = prony_modes(nu, kind, table)
 
     rates = np.concatenate([modes.rates, [modes.tail_rate]])

@@ -1,15 +1,19 @@
 """Gamma and Bessel-function evaluation for real order nu > -1.
 
-All evaluators here are pure functions of their arguments and are written
-for scalar inputs.  The ratio evaluator is overflow-safe: it never forms
-an unscaled I_nu(z), so it stays finite for arguments far beyond the range
-where I_nu itself is representable.
+All evaluators here are pure functions of their arguments.  J is evaluated
+by one lane-parallel evaluator over arrays of x, which the scalar
+``bessel_j`` and ``bessel_j_deriv`` wrap; gamma and the I evaluators take
+scalars.  The ratio evaluator is overflow-safe: it never forms an unscaled
+I_nu(z), so it stays finite for arguments far beyond the range where I_nu
+itself is representable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError, PoleError
 
@@ -253,109 +257,161 @@ def bessel_i_ratio(order_num: float, order_den: float, z) -> "float | complex":
 
 
 # --- Bessel functions of the first kind ------------------------------------
+#
+# One evaluator over arrays of x serves every caller: the zero finder passes
+# whole scan chunks and Newton lanes, the scalar wrappers pass one lane.  The
+# branch boundaries are the same for every lane: the ascending series up to
+# x = 9, the Hankel phase-amplitude form from max(16, 4 order^2 + 10), and a
+# backward Miller recurrence in between.
+
+_J_SERIES_TOL = 1e-12
+_J_SERIES_TERMS = 64  # ample for x <= 9 at every order > -1
+_J_HANKEL_TERMS = 39
+_J_LANES = 1024  # lanes per block of the two-dimensional series and Hankel sums
+_MILLER_LANES = 512  # lanes per backward pass, sorted so each block's start index fits
 
 
-def _jv_series(order: float, x: float, rel_tol: float, max_terms: int) -> float:
+def _jv_series(order: float, x: np.ndarray) -> np.ndarray:
+    """Ascending series, each lane stopped at its first term below the tolerance."""
     q = 0.25 * x * x
-    term = (0.5 * x) ** order / gamma(order + 1.0)
-    total = term
-    for k in range(1, max_terms + 1):
-        term = -term * q / (k * (order + k))
-        total += term
-        if abs(term) <= rel_tol * (abs(total) + 1e-300) and k * (order + k) > q:
-            return total
-    raise ConvergenceError(
-        f"J_{order}({x}): series did not converge within {max_terms} terms"
-    )
+    k = np.arange(1, _J_SERIES_TERMS + 1, dtype=float)[:, None]  # one row per term
+    terms = np.empty((_J_SERIES_TERMS + 1, x.size))
+    terms[0] = (0.5 * x) ** order / gamma(order + 1.0)
+    terms[1:] = -q / (k * (order + k))
+    np.cumprod(terms, axis=0, out=terms)
+    totals = np.cumsum(terms, axis=0)
+    done = np.abs(terms[1:]) <= _J_SERIES_TOL * (np.abs(totals[1:]) + 1e-300)
+    done &= k * (order + k) > q
+    if not np.all(done.any(axis=0)):
+        raise ConvergenceError(
+            f"J_{order}: series did not converge within {_J_SERIES_TERMS} terms"
+        )
+    return totals[np.argmax(done, axis=0) + 1, np.arange(x.size)]
 
 
-def _jv_hankel(order: float, x: float) -> float:
-    """Phase-amplitude asymptotic form, valid for x >> order^2."""
+def _jv_hankel(order: float, x: np.ndarray) -> np.ndarray:
+    """Phase-amplitude asymptotic form, valid for x >> order^2.
+
+    Each lane truncates the asymptotic series before its first term that
+    stops decreasing, or after its first term below 1e-17.
+    """
     mu = 4.0 * order * order
-    p = 1.0
-    q = 0.0
-    c = 1.0
-    prev = math.inf
-    sign = (1.0, 1.0, -1.0, -1.0)  # sign pattern of (-1)^floor(k/2)
-    for k in range(1, 40):
-        c *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        mag = abs(c)
-        if mag >= prev:
-            break
-        s = sign[k % 4]
-        if k % 2:
-            q += s * c
-        else:
-            p += s * c
-        if mag < 1e-17:
-            break
-        prev = mag
+    k = np.arange(1, _J_HANKEL_TERMS + 1, dtype=float)[:, None]  # one row per term
+    ratio = (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
+    # Term k scales as x^-k, so no lane keeps a term beyond the first one
+    # that falls below 1e-17 at the smallest x.
+    tiny = np.flatnonzero(np.abs(np.cumprod(ratio / x.min())) < 1e-17)
+    rows = tiny[0] + 1 if tiny.size else _J_HANKEL_TERMS
+    k = k[:rows]
+    c = np.cumprod(ratio[:rows] / x, axis=0)
+    mag = np.abs(c)
+    keep = np.empty(c.shape, dtype=bool)
+    keep[0] = True
+    keep[1:] = (mag[1:] < mag[:-1]) & (mag[:-1] >= 1e-17)
+    np.logical_and.accumulate(keep, axis=0, out=keep)
+    c *= keep
+    # Signs (-1)^floor(k/2): odd k feed q, even k feed p.
+    c *= np.array((1.0, 1.0, -1.0, -1.0))[(k % 4).astype(int)]
+    p = 1.0 + c[1::2].sum(axis=0)
+    q = c[0::2].sum(axis=0)
     omega = x - (0.5 * order + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (
-        math.cos(omega) * p - math.sin(omega) * q
-    )
+    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(omega) * p - np.sin(omega) * q)
 
 
-def _jv_miller(order: float, x: float) -> float:
-    """Backward recurrence normalized by the Neumann-series identity
+def _jv_miller_pair(order: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_order and J_{order+1} from one backward recurrence per lane.
+
+    The recurrence is normalized by the Neumann-series identity
 
         sum_k (order + 2k) Gamma(order + k) / k! * J_{order+2k}(x) = (x/2)^order,
 
     which is free of the cancellation that limits the ascending series at
-    intermediate arguments.
+    intermediate arguments.  Lanes are sorted and passed in blocks that
+    start at the index the block's largest x needs; a higher start only
+    makes Miller's algorithm more accurate.
     """
-    m = int(x + 14.0 * x ** (1.0 / 3.0) + 22.0)
-    if m % 2:
-        m += 1
-    trial_hi = 0.0
-    trial = 1e-155
-    values = [0.0] * (m + 1)  # values[i] ~ J_{order+i}(x), unnormalized
-    values[m] = trial
-    for i in range(m, 0, -1):
-        mu_i = order + i
-        trial_lo = (2.0 * mu_i / x) * trial - trial_hi
-        trial_hi = trial
-        trial = trial_lo
-        values[i - 1] = trial
-        if abs(trial) > 1e250:
-            scale = 1e-250
-            trial *= scale
-            trial_hi *= scale
-            for j in range(i - 1, m + 1):
-                values[j] *= scale
-    # Neumann normalization over even offsets.
-    d = gamma(order + 1.0)
-    norm = d * values[0]
-    for k in range(1, m // 2 + 1):
-        if k == 1:
-            d *= order + 2.0
-        else:
-            d *= (order + 2.0 * k) * (order + k - 1.0) / (k * (order + 2.0 * k - 2.0))
-        norm += d * values[2 * k]
-    return values[0] * (0.5 * x) ** order / norm
+    j0 = np.empty(x.shape)
+    j1 = np.empty(x.shape)
+    lanes = np.argsort(x)
+    for s in range(0, x.size, _MILLER_LANES):
+        block = lanes[s:s + _MILLER_LANES]
+        xs = x[block]
+        if xs.size == 1:
+            xs = xs[0]  # a lone lane steps on a numpy scalar, far cheaper than an array
+        top = float(np.max(xs))
+        m = int(top + 14.0 * top ** (1.0 / 3.0) + 22.0)
+        m += m % 2
+        # Neumann weights over even offsets, scaled by their largest value
+        # (kept as a logarithm) so that no weighted term overflows.
+        kk = np.arange(2, m // 2 + 1, dtype=float)
+        factors = (order + 2.0 * kk) * (order + kk - 1.0) / (kk * (order + 2.0 * kk - 2.0))
+        log_w = math.lgamma(order + 1.0) + np.cumsum(
+            np.log(np.concatenate(([1.0, order + 2.0], factors))))
+        log_w_max = float(log_w.max())
+        weights = np.exp(log_w - log_w_max)
+        two_over_x = 2.0 / xs
+        hi = np.zeros_like(xs)  # ~ J_{order+i+1}, unnormalized
+        cur = np.full_like(xs, 1e-155)  # ~ J_{order+i}
+        norm = weights[m // 2] * cur
+        for i in range(m, 0, -1):
+            lo = (order + i) * two_over_x * cur - hi
+            hi, cur = cur, lo
+            if i % 2:
+                norm += weights[(i - 1) // 2] * cur
+            if i % 8 == 0:
+                big = np.abs(cur) > 1e200
+                if big.any():
+                    scale = np.where(big, 1e-200, 1.0)
+                    cur *= scale
+                    hi *= scale
+                    norm *= scale
+        factor = np.exp(order * np.log(0.5 * xs) - log_w_max) / norm
+        j0[block] = cur * factor
+        j1[block] = hi * factor
+    return j0, j1
 
 
-def bessel_j(order: float, x: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
-    """Bessel function of the first kind J_order(x) for order > -1, x > 0."""
+def _jv_pair(order: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_order(x) and J_{order+1}(x) over a 1-d array of x > 0, order > -1.
+
+    Every lane takes the branch its x selects for J_order; the Miller pass
+    yields J_{order+1} alongside, so J' = (order/x) J_order - J_{order+1}
+    costs no second pass.
+    """
+    j0 = np.empty(x.shape)
+    j1 = np.empty(x.shape)
+    series = x <= 9.0
+    hankel = x >= max(16.0, 4.0 * order * order + 10.0)
+    miller = ~(series | hankel)
+    for branch, fn in ((series, _jv_series), (hankel, _jv_hankel)):
+        lanes = np.flatnonzero(branch)
+        for s in range(0, lanes.size, _J_LANES):
+            block = lanes[s:s + _J_LANES]
+            j0[block] = fn(order, x[block])
+            j1[block] = fn(order + 1.0, x[block])
+    if miller.any():
+        j0[miller], j1[miller] = _jv_miller_pair(order, x[miller])
+    return j0, j1
+
+
+def _checked_j_args(name: str, order, x) -> tuple[float, float]:
     order = float(order)
     x = float(x)
-    if order <= -1.0:
-        raise ValueError(f"bessel_j requires order > -1, got {order}")
-    if x <= 0.0:
-        raise ValueError(f"bessel_j requires x > 0, got {x}")
-    if x <= 9.0:
-        return _jv_series(order, x, acc.rel_tol, acc.max_terms)
-    if x >= max(16.0, 4.0 * order * order + 10.0):
-        return _jv_hankel(order, x)
-    return _jv_miller(order, x)
+    if not -1.0 < order < math.inf:
+        raise ValueError(f"{name} requires a finite order > -1, got {order}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} requires a finite x > 0, got {x}")
+    return order, x
+
+
+def bessel_j(order: float, x: float) -> float:
+    """Bessel function of the first kind J_order(x) for order > -1, x > 0."""
+    order, x = _checked_j_args("bessel_j", order, x)
+    return float(_jv_pair(order, np.array([x]))[0][0])
 
 
 def bessel_j_deriv(order: float, x: float) -> float:
     """Derivative J'_order(x) via the recurrence J' = (order/x) J - J_{order+1}."""
-    order = float(order)
-    x = float(x)
-    if order <= -1.0:
-        raise ValueError(f"bessel_j_deriv requires order > -1, got {order}")
-    if x <= 0.0:
-        raise ValueError(f"bessel_j_deriv requires x > 0, got {x}")
-    return (order / x) * bessel_j(order, x) - bessel_j(order + 1.0, x)
+    order, x = _checked_j_args("bessel_j_deriv", order, x)
+    j0, j1 = _jv_pair(order, np.array([x]))
+    return float((order / x) * j0[0] - j1[0])

@@ -171,8 +171,8 @@ def prony_modes(order, kind: str, table: ZeroTable) -> PronyModes:
 
 def required_zero_count(zeros_order: float, t: float, tail_tol: float, amplitude: float) -> int:
     """Estimate of the table size needed to certify the tail at time t."""
-    if t <= 0.0:
-        raise ValueError(f"tail certification needs t > 0, got {t}")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"tail certification needs a finite t > 0, got {t}")
     arg = max(amplitude / tail_tol, 10.0)
     j_req = math.sqrt(math.log(arg) / t)
     n = j_req / math.pi - 0.5 * zeros_order + 0.25
@@ -221,11 +221,31 @@ def _certified_terms(table: ZeroTable, t: float, tail_tol: float, amplitude: flo
 # --- evaluators --------------------------------------------------------------
 
 
-def _auto_table(zeros_order: float, t: float, policy: SeriesPolicy, amplitude: float) -> ZeroTable:
-    count = required_zero_count(zeros_order, t, policy.tail_tol, amplitude)
-    count = min(count, policy.max_terms + 1)
-    count = 64 * math.ceil(count / 64)  # round up for cache friendliness
+_TABLE_QUANTUM = 64  # table sizes are rounded up to a multiple, for cache friendliness
+
+
+def _sized_table(zeros_order: float, t: float, policy: SeriesPolicy, amplitude: float) -> ZeroTable:
+    """Zero table that certifies the tail at every time >= t.
+
+    ``t`` is the smallest positive time to be evaluated, floored at
+    ``policy.min_time``.  ``t = 0`` means that only t = 0 is evaluated:
+    there the tail correction of the material functions is the exact
+    inverse-square remainder, so the minimum table gives the exact value.
+    """
+    count = _TABLE_QUANTUM
+    if t > 0.0:
+        count = required_zero_count(zeros_order, max(t, policy.min_time),
+                                    policy.tail_tol, amplitude)
+        count = min(count, policy.max_terms + 1)
+    count = _TABLE_QUANTUM * math.ceil(count / _TABLE_QUANTUM)
     return compute_zeros(zeros_order, count, DEFAULT_ZERO_TOL)
+
+
+def _finite_time(t) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    return t
 
 
 def psi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
@@ -236,6 +256,7 @@ def psi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
     sized for (t, tail_tol) is computed and memoized internally.
     """
     nu = order_value(order)
+    t = _finite_time(t)
     if t < policy.min_time:
         raise BelowMinTimeError(
             f"t={t} is below min_time={policy.min_time}; "
@@ -243,7 +264,7 @@ def psi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
         )
     amp = 4.0 * (nu + 1.0)
     if zeros is None:
-        zeros = _auto_table(nu + 2.0, t, policy, amp)
+        zeros = _sized_table(nu + 2.0, t, policy, amp)
     m = _certified_terms(zeros, t, policy.tail_tol, amp, policy.max_terms)
     decay = np.exp(-zeros.rates[:m] * t)
     return 4.0 * (nu + 1.0) * (nu + 2.0) + amp * float(np.sum(decay))
@@ -256,6 +277,7 @@ def phi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
     ``zeros`` must tabulate zeros of order nu.
     """
     nu = order_value(order)
+    t = _finite_time(t)
     if t < policy.min_time:
         raise BelowMinTimeError(
             f"t={t} is below min_time={policy.min_time}; "
@@ -263,7 +285,7 @@ def phi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
         )
     amp = 4.0 * (nu + 1.0)
     if zeros is None:
-        zeros = _auto_table(nu, t, policy, amp)
+        zeros = _sized_table(nu, t, policy, amp)
     m = _certified_terms(zeros, t, policy.tail_tol, amp, policy.max_terms)
     decay = np.exp(-zeros.rates[:m] * t)
     return amp * float(np.sum(decay))
@@ -280,10 +302,11 @@ def creep_compliance(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
     also bounds the residual error (reported when requested).
     """
     nu = order_value(order)
+    t = _finite_time(t)
     if t < 0.0:
         raise ValueError(f"creep compliance requires t >= 0, got {t}")
     if zeros is None:
-        zeros = _auto_table(nu + 2.0, max(t, policy.min_time), policy, 4.0 * (nu + 1.0))
+        zeros = _sized_table(nu + 2.0, t, policy, 4.0 * (nu + 1.0))
     modes = prony_modes(nu, "creep", zeros)
     m = min(len(zeros), policy.max_terms)
     rates = modes.rates[:m]
@@ -306,10 +329,11 @@ def relaxation_modulus(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
                        return_tail_bound: bool = False):
     """Relaxation modulus, tail-corrected so that the t = 0 value is exactly 1."""
     nu = order_value(order)
+    t = _finite_time(t)
     if t < 0.0:
         raise ValueError(f"relaxation modulus requires t >= 0, got {t}")
     if zeros is None:
-        zeros = _auto_table(nu, max(t, policy.min_time), policy, 4.0 * (nu + 1.0))
+        zeros = _sized_table(nu, t, policy, 4.0 * (nu + 1.0))
     modes = prony_modes(nu, "relax", zeros)
     m = min(len(zeros), policy.max_terms)
     rates = modes.rates[:m]
@@ -337,6 +361,8 @@ def sample_curve(order, kind: str, t_grid, policy: SeriesPolicy = DEFAULT_POLICY
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("t_grid must be a non-empty strictly increasing 1-d grid")
+    if not np.all(np.isfinite(grid)):  # NaN passes the comparisons above
+        raise ValueError("t_grid must hold finite times only")
     is_memory = kind in ("creep_rate", "relax_rate")
     if grid[0] <= 0.0 and is_memory:
         raise ValueError("memory functions require strictly positive times")
@@ -344,16 +370,12 @@ def sample_curve(order, kind: str, t_grid, policy: SeriesPolicy = DEFAULT_POLICY
         raise ValueError("times must be non-negative")
 
     zeros_order = nu + 2.0 if kind in _CREEP_KINDS else nu
-    amp = 4.0 * (nu + 1.0)
     series_times = grid[grid >= policy.min_time] if is_memory else grid
-    t_min_series = float(series_times[0]) if series_times.size else None
     table = None
-    if t_min_series is not None:
-        count = required_zero_count(zeros_order, max(t_min_series, policy.min_time),
-                                    policy.tail_tol, amp)
-        count = min(count, policy.max_terms + 1)
-        count = 64 * math.ceil(count / 64)
-        table = compute_zeros(zeros_order, count, DEFAULT_ZERO_TOL)
+    if series_times.size:
+        positive = series_times[series_times > 0.0]
+        t_min = float(positive[0]) if positive.size else 0.0
+        table = _sized_table(zeros_order, t_min, policy, 4.0 * (nu + 1.0))
 
     evaluator = {
         "creep_rate": psi,

@@ -1,9 +1,11 @@
 """Positive real zeros of J_nu and the inverse-square sum over them.
 
-The zero finder seeds each root with the McMahon expansion (or a coarse
-scan where McMahon is unreliable), brackets it against its neighbours and
-polishes with a safeguarded Newton iteration.  Tables are memoized, since
-recomputation is deterministic.
+The zero finder works on whole tables at once.  One pi/10 sign scan of J_nu,
+evaluated in chunks by the array evaluator of :mod:`specfun`, brackets
+every root; the McMahon expansion only sizes the chunks.  All brackets are
+then polished together by a safeguarded Newton iteration that takes J and
+J' from the same evaluation.  Tables are memoized, since recomputation is
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
-from .specfun import bessel_j, bessel_j_deriv, order_value
+from .specfun import _jv_pair, order_value
 
 __all__ = ["ZeroTable", "compute_zeros", "rayleigh_sum", "mcmahon_zero", "RayleighResult"]
 
@@ -57,92 +59,93 @@ def mcmahon_zero(nu: float, n: int) -> float:
     )
 
 
-def _newton_refine(nu: float, lo: float, hi: float, abs_tol: float) -> float:
-    """Safeguarded Newton on J_nu within a sign-change bracket [lo, hi]."""
-    f_lo = bessel_j(nu, lo)
-    f_hi = bessel_j(nu, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    sign_lo = math.copysign(1.0, f_lo)
-    if sign_lo == math.copysign(1.0, f_hi):
-        raise ConvergenceError(
-            f"bracket [{lo}, {hi}] does not straddle a zero of J_{nu}"
-        )
-    x = 0.5 * (lo + hi)
+_SCAN_STEP = math.pi / 10.0
+_SCAN_LANES = 2048  # grid points per scan chunk, which bounds the working set
+
+
+def _scan_brackets(nu: float, count: int) -> tuple[np.ndarray, ...]:
+    """Sign-change brackets of the first ``count`` zeros of J_nu.
+
+    One grid runs from near 0 in steps of pi/10, far below the smallest
+    gap between zeros, so no zero can be skipped.  The first two Rayleigh
+    sums bound the first zero: 4(nu+1) < j_{nu,1}^2 < 4(nu+1)(nu+2).  Up
+    to that upper bound the step is also capped at a sixth of the lower
+    one, because the first zero collapses toward 0 as nu -> -1.  The grid
+    is evaluated in chunks, sized from the McMahon estimate of the last
+    zero, until ``count`` sign changes are found.  Returns
+    (lo, hi, J(lo), J(hi)).
+    """
+    fine = min(_SCAN_STEP, math.sqrt(nu + 1.0) / 3.0)
+    head_end = min(math.pi, 2.0 * math.sqrt((nu + 1.0) * (nu + 2.0)))
+    x = 0.5 * fine + fine * np.arange(math.ceil(head_end / fine) + 1)
+    f = _jv_pair(nu, x)[0]
+    # A zero must appear within this reach of the previous one (or of 0).
+    first_reach = nu + 2.5 * (nu + 1.0) ** (1.0 / 3.0) + 8.0
+    target = max(mcmahon_zero(nu, count) + math.pi, first_reach)
+    found = []
+    n_found = 0
+    last_zero = 0.0
+    while True:
+        at = np.flatnonzero((f[:-1] > 0.0) != (f[1:] > 0.0))
+        if at.size:
+            found.append((x[at], x[at + 1], f[at], f[at + 1]))
+            n_found += at.size
+            last_zero = float(x[at[-1] + 1])
+        if n_found >= count:
+            return tuple(np.concatenate(parts)[:count] for parts in zip(*found))
+        if x[-1] - last_zero > (nu + 50.0 if n_found else first_reach):
+            raise ConvergenceError(
+                f"failed to bracket zero {n_found + 1} of J_{nu} on ({last_zero}, {x[-1]})"
+            )
+        points = max(math.ceil((target - x[-1]) / _SCAN_STEP), 12 * (count - n_found))
+        ahead = x[-1] + _SCAN_STEP * np.arange(1, min(points, _SCAN_LANES) + 1)
+        x = np.concatenate((x[-1:], ahead))
+        f = np.concatenate((f[-1:], _jv_pair(nu, ahead)[0]))
+
+
+def _polish(nu: float, lo, hi, f_lo, f_hi, abs_tol: float) -> np.ndarray:
+    """Safeguarded Newton on every bracket at once.
+
+    Each lane starts from the secant of its bracket, keeps its bracket
+    updated from the sign of J, and stops at its first step below
+    abs_tol / 4.  A longer step that leaves the bracket is replaced by
+    bisection.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    lo_positive = f_lo > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    x = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, x))
+    live = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
     for _ in range(100):
-        f = bessel_j(nu, x)
-        if f == 0.0:
+        if live.size == 0:
             return x
-        if math.copysign(1.0, f) == sign_lo:
-            lo = x
-        else:
-            hi = x
-        df = bessel_j_deriv(nu, x)
-        x_new = x - f / df if df != 0.0 else math.inf
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)  # Newton left the bracket; bisect
-        step = abs(x_new - x)
-        x = x_new
-        if step <= 0.25 * abs_tol:
-            return x
+        xl = x[live]
+        f, f_up = _jv_pair(nu, xl)
+        df = (nu / xl) * f - f_up
+        lo_side = (f > 0.0) == lo_positive[live]
+        lo[live] = np.where(lo_side, xl, lo[live])
+        hi[live] = np.where(lo_side, hi[live], xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = xl - f / df
+        done = (np.abs(x_new - xl) <= 0.25 * abs_tol) | (f == 0.0)
+        inside = (lo[live] < x_new) & (x_new < hi[live])
+        x_new = np.where(done | inside, x_new, 0.5 * (lo[live] + hi[live]))
+        x_new = np.where(f == 0.0, xl, x_new)
+        x[live] = x_new
+        live = live[~done]
     raise ConvergenceError(
-        f"Newton refinement for zero of J_{nu} near {x} did not reach {abs_tol}"
-    )
-
-
-def _scan_bracket(nu: float, start: float, step: float, limit: float) -> tuple[float, float]:
-    """Bracket the first sign change of J_nu beyond ``start``."""
-    x = start
-    f_prev = bessel_j(nu, x)
-    while x < limit:
-        x_next = x + step
-        f_next = bessel_j(nu, x_next)
-        if f_prev == 0.0:
-            return (x - 1e-12, x + 1e-12)
-        if math.copysign(1.0, f_prev) != math.copysign(1.0, f_next):
-            return (x, x_next)
-        x, f_prev = x_next, f_next
-    raise ConvergenceError(
-        f"failed to bracket a zero of J_{nu} on ({start}, {limit})"
+        f"Newton refinement for zeros of J_{nu} near {x[live[:3]]} did not reach {abs_tol}"
     )
 
 
 @lru_cache(maxsize=256)
 def _zero_tuple(nu_key: float, count: int, abs_tol: float) -> tuple[float, ...]:
-    nu = nu_key
-    zeros = []
-    prev = 0.0
-    for n in range(1, count + 1):
-        if n == 1:
-            # The Rayleigh sum forces j_{nu,1} > 2 sqrt(nu+1), which both
-            # caps the scan resolution (the first zero collapses toward 0
-            # as nu -> -1) and anchors the start.  McMahon is unreliable
-            # here: it misplaces the first zero at small and at large nu.
-            floor = 2.0 * math.sqrt(nu + 1.0)
-            step = min(math.pi / 10.0, floor / 6.0)
-            start = 0.5 * step
-            limit = nu + 2.5 * (nu + 1.0) ** (1.0 / 3.0) + 8.0
-        else:
-            step = math.pi / 10.0
-            start = prev + 0.05
-            limit = prev + nu + 50.0
-            guess = mcmahon_zero(nu, n)
-            # Fast-forward only when the guess lands in the plausible
-            # next-gap window; otherwise fall back to a sequential scan,
-            # which cannot skip a zero.
-            if 0.5 * math.pi < guess - prev < 1.6 * math.pi:
-                start = max(start, guess - 0.45 * math.pi)
-        lo, hi = _scan_bracket(nu, start, step, limit)
-        z = _newton_refine(nu, lo, hi, abs_tol)
-        if z <= prev:
-            raise ConvergenceError(
-                f"zero ordering violated for J_{nu} at n={n}: {z} <= {prev}"
-            )
-        zeros.append(z)
-        prev = z
-    return tuple(zeros)
+    zeros = _polish(nu_key, *_scan_brackets(nu_key, count), abs_tol)
+    if zeros[0] <= 0.0 or np.any(np.diff(zeros) <= 0.0):
+        raise ConvergenceError(f"zero ordering violated for J_{nu_key}")
+    return tuple(zeros.tolist())
 
 
 def compute_zeros(order, count: int, abs_tol: float = 1e-11) -> ZeroTable:

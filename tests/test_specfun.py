@@ -8,6 +8,7 @@ from besselvisc.errors import PoleError
 from besselvisc.specfun import (
     EvalAccuracy,
     Order,
+    _jv_pair,
     bessel_i,
     bessel_i_ratio,
     bessel_j,
@@ -198,6 +199,51 @@ class TestBesselJ:
     def test_large_order(self):
         for nu, x in [(20.0, 10.0), (20.0, 30.0), (50.0, 57.0), (50.0, 200.0)]:
             assert bessel_j(nu, x) == pytest.approx(float(sp.jv(nu, x)), rel=1e-11)
+
+
+class TestArrayEvaluator:
+    # (order, x range) per branch: series x <= 9, Hankel x >= max(16, 4 nu^2 + 10),
+    # Miller in between.
+    BRANCHES = {
+        "series": [(nu, (0.05, 9.0)) for nu in (-0.95, -0.5, 0.0, 1.0, 2.7, 20.0, 60.0)],
+        "miller": [(-0.95, (9.01, 15.99)), (0.0, (9.01, 15.99)), (2.7, (9.01, 39.1)),
+                   (9.345, (9.01, 359.0)), (20.0, (9.01, 1609.0)), (60.0, (9.01, 2000.0))],
+        "hankel": [(-0.95, (16.0, 5000.0)), (0.5, (16.0, 5000.0)), (2.7, (39.2, 5000.0)),
+                   (9.345, (359.4, 8000.0)), (20.0, (1610.0, 9000.0))],
+    }
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_pair_against_scipy(self, branch):
+        for nu, (lo, hi) in self.BRANCHES[branch]:
+            x = np.linspace(lo, hi, 301)
+            j0, j1 = _jv_pair(nu, x)
+            env = np.sqrt(2.0 / (np.pi * np.maximum(x, 0.3)))
+            for got, order in ((j0, nu), (j1, nu + 1.0)):
+                ref = sp.jv(order, x)
+                tol = np.maximum(1e-12 * x, 5e-14) * env + 1e-13 * np.abs(ref)
+                assert np.all(np.abs(got - ref) <= tol), (branch, nu, order)
+
+    def test_lanes_are_independent(self):
+        # Mixed branches in one call give the same values as one lane at a time.
+        x = np.array([40.0, 0.3, 12.0, 9.0, 600.0, 15.5, 3.0])
+        j0, j1 = _jv_pair(1.5, x)
+        for i, xi in enumerate(x):
+            assert j0[i] == pytest.approx(bessel_j(1.5, float(xi)), rel=1e-13, abs=1e-16)
+            single = _jv_pair(1.5, x[i:i + 1])
+            assert j1[i] == pytest.approx(single[1][0], rel=1e-13, abs=1e-16)
+
+    def test_scalar_wrappers_match(self):
+        for nu, x in [(0.3, 4.0), (0.3, 12.0), (0.3, 80.0), (20.0, 300.0)]:
+            j0, j1 = _jv_pair(nu, np.array([x]))
+            assert bessel_j(nu, x) == j0[0]
+            assert bessel_j_deriv(nu, x) == (nu / x) * j0[0] - j1[0]
+
+    @pytest.mark.parametrize("fn", [bessel_j, bessel_j_deriv])
+    @pytest.mark.parametrize("order,x", [(-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                         (0.0, 0.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_scalar_argument_validation(self, fn, order, x):
+        with pytest.raises(ValueError):
+            fn(order, x)
 
 
 class TestBesselJDeriv:

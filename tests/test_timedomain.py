@@ -196,6 +196,40 @@ class TestMaterialFunctions:
         assert bound5 == 0.0 or bound5 < 1e-300
 
 
+class TestTableSizing:
+    @pytest.mark.parametrize("fn", [creep_compliance, relaxation_modulus])
+    def test_high_order_normalization_at_zero(self, fn):
+        # t = 0 alone gets the minimum table; its tail correction is exact.
+        assert abs(fn(60.0, 0.0) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 1.0, 7.3])
+    @pytest.mark.parametrize("kind", ["creep_compliance", "relax_modulus"])
+    def test_zero_in_grid_leaves_positive_times_unchanged(self, nu, kind):
+        grid = np.logspace(-3, 1, 25)
+        with_zero = sample_curve(nu, kind, np.concatenate([[0.0], grid]))
+        without = sample_curve(nu, kind, grid)
+        assert abs(with_zero.values[0] - 1.0) <= 1e-12
+        assert np.all(np.abs(with_zero.values[1:] - without.values) <= SeriesPolicy().tail_tol)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("fn", [psi, phi, creep_compliance, relaxation_modulus])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_evaluators_reject_non_finite_time(self, fn, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            fn(1.0, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["creep_rate", "relax_modulus"])
+    def test_sample_curve_rejects_non_finite_grid(self, kind, bad):
+        with pytest.raises(ValueError, match="t_grid"):
+            sample_curve(1.0, kind, [0.1, bad])
+
+    def test_required_zero_count_rejects_nan(self):
+        with pytest.raises(ValueError):
+            required_zero_count(2.0, math.nan, 1e-12, 8.0)
+
+
 class TestPronyModes:
     def test_step_weights_close_to_normalization(self):
         table = compute_zeros(2.0, 120, 1e-11)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from besselvisc.specfun import bessel_j, bessel_j_deriv
+from besselvisc.specfun import _jv_pair, bessel_j, bessel_j_deriv
 from besselvisc.zeros import ZeroTable, compute_zeros, mcmahon_zero, rayleigh_sum
 
 # Frozen 30-digit references.
@@ -96,6 +96,43 @@ class TestComputeZeros:
             ZeroTable(nu=0.0, zeros=np.array([2.0, 1.0]), abs_tol=1e-11)
         with pytest.raises(ValueError):
             ZeroTable(nu=0.0, zeros=np.array([-1.0, 1.0]), abs_tol=1e-11)
+
+
+class TestLongTables:
+    @pytest.mark.parametrize("nu,count", [(0, 2048), (1, 2048), (5, 200), (20, 200), (60, 200)])
+    def test_against_scipy_integer_orders(self, nu, count):
+        import scipy.special as sp
+
+        tab = compute_zeros(nu, count, 1e-11)
+        assert_allclose(tab.zeros, sp.jn_zeros(nu, count), rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("nu", [-0.95, 2.7, 9.345])
+    def test_against_mpmath_fractional_orders(self, nu):
+        import mpmath
+
+        tab = compute_zeros(nu, 100, 1e-11)
+        with mpmath.workdps(30):
+            for n in (1, 2, 10, 100):
+                z = float(tab.zeros[n - 1])
+                if nu > 0.0:
+                    ref = mpmath.besseljzero(nu, n)
+                else:  # besseljzero takes orders >= 0 only; solve on a bracket instead
+                    lo, hi = z - 0.05, z + 0.05
+                    f = lambda x: mpmath.besselj(nu, x)  # noqa: E731
+                    assert f(lo) * f(hi) < 0
+                    ref = mpmath.findroot(f, (lo, hi), solver="anderson")
+                    # Interlacing with the zeros of J_{nu+1} pins the index n.
+                    upper = float(tab.zeros[n]) if n < len(tab) else math.inf
+                    assert z < float(mpmath.besseljzero(nu + 1.0, n)) < upper
+                assert abs(z - float(ref)) <= 1e-11, (nu, n)
+
+    @pytest.mark.parametrize("nu,count", [(-0.999, 2048), (9.345, 2048), (60.0, 200)])
+    def test_residual_and_ordering(self, nu, count):
+        tab = compute_zeros(nu, count, 1e-11)
+        z = tab.zeros
+        assert z[0] > 0.0 and np.all(np.diff(z) > 0.0)
+        j0, j1 = _jv_pair(nu, z)
+        assert np.all(np.abs(j0) <= 1e-11 * np.abs((nu / z) * j0 - j1))
 
 
 class TestMcMahon:
