@@ -27,20 +27,30 @@ from .zeros import compute_zeros
 __all__ = ["main"]
 
 
+def _fmt_column(values: list) -> list[str]:
+    """Cells of one output column: booleans as true/false, integers in
+    decimal, floats as their shortest round-trip repr, anything else as str."""
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        return [_fmt(v) for v in values]
+    kind = kinds.pop() if kinds else str
+    if issubclass(kind, (bool, np.bool_)):
+        return ["true" if v else "false" for v in values]
+    if issubclass(kind, (int, np.integer)):
+        return list(map(str, map(int, values)))
+    if issubclass(kind, (float, np.floating)):
+        return list(map(repr, map(float, values)))
+    return list(map(str, values))
+
+
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+    return _fmt_column([x])[0]
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, output: str | None) -> None:
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        cells = [_fmt_column([row[c] for row in rows]) for c in columns]
+        lines = [",".join(columns), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2, default=_fmt) + "\n"

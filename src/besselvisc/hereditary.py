@@ -3,9 +3,16 @@
 The convolution kernels are the model's rate functions, expanded into
 exponential modes (see :func:`besselvisc.timedomain.prony_modes`).  Each
 mode carries one internal state updated exactly per step for piecewise
-constant or linear inputs, so the cost is O(samples * modes) instead of a
-quadratic direct convolution, and the unit-step responses reproduce the
+constant or linear inputs, so the unit-step responses reproduce the
 tail-corrected material functions identically.
+
+Cost model: O(steps * modes) arithmetic over the merged grid of history
+knots and evaluation times, instead of a quadratic direct convolution.
+The history is read once at every node and its running integral is one
+cumulative sum.  The step weights are formed as (steps x modes) arrays,
+256 steps at a time, so the only per-step Python work is the update
+state * decay + increment of all modes at once; the hereditary sums at
+the evaluation nodes of a block are one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .timedomain import (
 __all__ = ["LoadHistory", "strain_response", "stress_response"]
 
 INTERPOLATIONS = ("piecewise_constant", "piecewise_linear")
+_BLOCK = 256  # steps per block: each (steps x modes) temporary stays near 0.5 MB
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,8 @@ class LoadHistory:
         object.__setattr__(self, "values", v)
         if t.ndim != 1 or t.shape != v.shape or t.size == 0:
             raise ValueError("times and values must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("LoadHistory: times and values must be finite")
         if t[0] != 0.0:
             raise ValueError(f"history must start at t = 0, got {t[0]}")
         if np.any(np.diff(t) <= 0.0):
@@ -58,43 +68,24 @@ class LoadHistory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def endpoints(self, t0: float, t1: float) -> tuple[float, float]:
-        """Input values at the ends of a step [t0, t1] under the
-        interpolation rule (the step must not straddle a sample knot)."""
-        v0 = self.value_at(t0)
-        if self.interpolation == "piecewise_constant":
-            return v0, v0
-        return v0, self.value_at(t1)
-
     def value_at(self, t: float) -> float:
-        if t < 0.0 or t > self.t_end * (1.0 + 1e-12) + 1e-300:
+        if not 0.0 <= t <= self.t_end * (1.0 + 1e-12) + 1e-300:
             raise ExtrapolationError(f"t={t} outside history [0, {self.t_end}]")
-        t = min(t, self.t_end)
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = max(i, 0)
-        if self.interpolation == "piecewise_constant":
-            return float(self.values[min(i, self.values.size - 1)])
-        if i >= self.times.size - 1:
-            return float(self.values[-1])
-        t0, t1 = self.times[i], self.times[i + 1]
+        return float(self._read(np.array([t]))[0])
+
+    def _read(self, t: np.ndarray) -> np.ndarray:
+        """Input at times 0 <= t <= t_end (1 + 1e-12) under the interpolation
+        rule; a time on a knot reads the segment that starts there."""
+        t = np.minimum(t, self.t_end)
+        i = np.searchsorted(self.times, t, side="right") - 1
+        last = self.times.size - 1
+        if self.interpolation == "piecewise_constant" or last == 0:
+            return self.values[i]
+        k = np.minimum(i, last - 1)
+        t0, t1 = self.times[k], self.times[k + 1]
         w = (t - t0) / (t1 - t0)
-        return float((1.0 - w) * self.values[i] + w * self.values[i + 1])
-
-
-def _step_weights(rates: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mode decay E and the exact integrals of 1 and (u/h) against
-    exp(-rate (h-u)) over a step of width h."""
-    x = rates * h
-    e = np.exp(-x)
-    em1 = np.expm1(-x)
-    w_const = -em1 / rates  # int_0^h e^{-rate (h-u)} du
-    w_ramp = np.empty_like(rates)  # int_0^h (u/h) e^{-rate (h-u)} du
-    small = x < 1e-3
-    xs = x[small]
-    w_ramp[small] = h * (0.5 - xs / 6.0 + xs * xs / 24.0 - xs**3 / 120.0)
-    big = ~small
-    w_ramp[big] = (x[big] + em1[big]) / (rates[big] ** 2 * h)
-    return e, w_const, w_ramp
+        return np.where(i < last, (1.0 - w) * self.values[k] + w * self.values[k + 1],
+                        self.values[-1])
 
 
 def _respond(nu: float, kind: str, history: LoadHistory, t_eval, policy: SeriesPolicy,
@@ -102,6 +93,8 @@ def _respond(nu: float, kind: str, history: LoadHistory, t_eval, policy: SeriesP
     eval_times = np.asarray(t_eval, dtype=float)
     if eval_times.ndim != 1 or eval_times.size == 0 or np.any(np.diff(eval_times) <= 0.0):
         raise ValueError("t_eval must be a non-empty strictly increasing grid")
+    if not np.all(np.isfinite(eval_times)):
+        raise ValueError(f"{out_kind}_response: t_eval must hold finite times")
     if eval_times[0] < 0.0:
         raise ValueError("evaluation times must be non-negative")
     if eval_times[-1] > history.t_end * (1.0 + 1e-12):
@@ -124,37 +117,41 @@ def _respond(nu: float, kind: str, history: LoadHistory, t_eval, policy: SeriesP
     rates = np.concatenate([modes.rates, [modes.tail_rate]])
     amps = np.concatenate([modes.amps, [modes.tail_amp]])
 
+    nodes = history._read(grid)
+    v0 = nodes[:-1]  # input at the start and end of each step
+    v1 = v0 if history.interpolation == "piecewise_constant" else nodes[1:]
+    dv = v1 - v0
+    at = np.searchsorted(grid, eval_times)  # node index of each evaluation time
+
     state = np.zeros_like(rates)  # per-mode convolution integrals
-    running = 0.0  # integral of the input from 0 to the current node
-    out = np.empty(eval_times.shape)
-    n_out = 0
-
-    def emit(t_node: float) -> float:
-        instant = history.value_at(t_node)
-        hereditary = float(np.dot(amps, state))
-        base = instant + sign * hereditary
-        if include_constant:
-            base += modes.constant * running
-        return base
-
-    if grid[0] == eval_times[n_out]:
-        out[n_out] = emit(float(grid[0]))
-        n_out += 1
-    for i in range(gaps.size):
-        h = float(gaps[i])
-        v0, v1 = history.endpoints(float(grid[i]), float(grid[i + 1]))
-        e, w_const, w_ramp = _step_weights(rates, h)
-        state = state * e + v0 * w_const + (v1 - v0) * w_ramp
-        running += 0.5 * h * (v0 + v1)
-        t_node = float(grid[i + 1])
-        if n_out < eval_times.size and t_node == eval_times[n_out]:
-            out[n_out] = emit(t_node)
-            n_out += 1
-    if n_out != eval_times.size:
-        raise AssertionError("internal: evaluation grid not fully consumed")
-
+    hereditary = np.zeros(eval_times.shape)
+    for start in range(0, gaps.size, _BLOCK):
+        stop = min(start + _BLOCK, gaps.size)
+        # Per step and mode: the decay E over the step and the exact integrals
+        # of 1 and (u/h) against exp(-rate (h-u)) over its width h.
+        h = gaps[start:stop, None]
+        x = rates * h
+        decay = np.exp(-x)
+        em1 = np.expm1(-x)
+        w_const = -em1 / rates
+        w_ramp = (x + em1) / (rates**2 * h)
+        small = x < 1e-3
+        xs = x[small]
+        w_ramp[small] = np.broadcast_to(h, x.shape)[small] * (
+            0.5 - xs / 6.0 + xs * xs / 24.0 - xs**3 / 120.0)
+        states = v0[start:stop, None] * w_const + dv[start:stop, None] * w_ramp
+        for e, row in zip(decay, states):  # row becomes the state after its step
+            row += state * e
+            state = row
+        done = (at > start) & (at <= stop)  # evaluation nodes this block reaches
+        hereditary[done] = states[at[done] - start - 1] @ amps
+    out = nodes[at] + sign * hereditary
+    if include_constant:
+        # Integral of the input from 0 to each node, summed in step order.
+        running = np.concatenate([[0.0], np.cumsum(0.5 * gaps * (v0 + v1))])
+        out += modes.constant * running[at]
     return MaterialCurve(nu=nu, kind=out_kind, times=eval_times, values=out,
-                         provenance=tuple("series" for _ in range(eval_times.size)))
+                         provenance=("series",) * eval_times.size)
 
 
 def strain_response(order, stress: LoadHistory, t_eval,

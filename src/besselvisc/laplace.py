@@ -15,8 +15,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PoleError
-from .specfun import bessel_i_ratio, bessel_j, bessel_j_deriv, order_value
+from .specfun import _jv_pair, bessel_i_ratio, order_value
 
 __all__ = [
     "TalbotConfig",
@@ -53,38 +55,48 @@ class TalbotConfig:
             raise ValueError("contour_scale must be positive")
 
 
-def _guard_pole(order_of_zeros: float, s) -> None:
+def _j_pair(order: float, x: float) -> tuple[float, float]:
+    """J_order(x) and J_{order+1}(x) at one x > 0, from one evaluation."""
+    j, j_up = _jv_pair(order, np.array([x]))
+    return float(j[0]), float(j_up[0])
+
+
+def _guard_pole(order_of_zeros: float, s) -> float | None:
     """Reject s within the exclusion radius of a pole -j_{order,n}^2.
 
     Proximity is measured without a zero table: x = sqrt(-Re s) sits near
     a zero j exactly when |J(x)/J'(x)| is small, and |s + j^2| ~ 2x|x - j|.
+    Returns J_order(x) when it was evaluated, else None.
     """
     re = s.real if isinstance(s, complex) else float(s)
     im = s.imag if isinstance(s, complex) else 0.0
     if re >= 0.0 or abs(im) > _POLE_EXCLUSION:
-        return
+        return None
     x = math.sqrt(-re)
     if x < 1e-8:
-        return
-    j = bessel_j(order_of_zeros, x)
-    dj = bessel_j_deriv(order_of_zeros, x)
+        return None
+    j, j_up = _j_pair(order_of_zeros, x)
+    dj = (order_of_zeros / x) * j - j_up
     if dj == 0.0:
-        return
+        return j
     dist = abs(j / dj) * 2.0 * x
     if dist < _POLE_EXCLUSION:
         raise PoleError(
             f"s={s} lies within {_POLE_EXCLUSION} of a pole of the "
             f"order-{order_of_zeros} Bessel ratio"
         )
+    return j
 
 
 def _memory_transform(nu: float, s, denominator_order: float):
     """Common core: 2(nu+1)/sqrt(s) * I_{nu+1}(sqrt(s)) / I_den(sqrt(s))."""
+    if not cmath.isfinite(s):
+        raise ValueError(f"the Laplace variable s must be finite, got {s}")
     if isinstance(s, complex) and s.imag == 0.0:
         s = s.real
     if s == 0:
         raise PoleError("s = 0 is a pole of the transform")
-    _guard_pole(denominator_order, s)
+    j_den = _guard_pole(denominator_order, s)
     if isinstance(s, complex):
         root = cmath.sqrt(s)
         ratio = bessel_i_ratio(nu + 1.0, denominator_order, root)
@@ -98,7 +110,9 @@ def _memory_transform(nu: float, s, denominator_order: float):
     # I_mu(i x) = i^mu J_mu(x) reduce the transform to a real J ratio with
     # a sign fixed by i^(nu+1-den)/i = +1 (den = nu) or -1 (den = nu+2).
     x = math.sqrt(-s)
-    ratio = bessel_j(nu + 1.0, x) / bessel_j(denominator_order, x)
+    if j_den is None:  # the guard skips |s| < 1e-16
+        j_den = _j_pair(denominator_order, x)[0]
+    ratio = _j_pair(nu + 1.0, x)[0] / j_den
     sign = 1.0 if denominator_order == nu else -1.0
     return sign * 2.0 * (nu + 1.0) / x * ratio
 

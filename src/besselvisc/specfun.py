@@ -276,7 +276,7 @@ def _jv_series(order: float, x: np.ndarray) -> np.ndarray:
     q = 0.25 * x * x
     k = np.arange(1, _J_SERIES_TERMS + 1, dtype=float)[:, None]  # one row per term
     terms = np.empty((_J_SERIES_TERMS + 1, x.size))
-    terms[0] = (0.5 * x) ** order / gamma(order + 1.0)
+    terms[0] = np.exp(order * np.log(0.5 * x) - math.lgamma(order + 1.0))
     terms[1:] = -q / (k * (order + k))
     np.cumprod(terms, axis=0, out=terms)
     totals = np.cumsum(terms, axis=0)

@@ -86,7 +86,9 @@ def _scan_brackets(nu: float, count: int) -> tuple[np.ndarray, ...]:
     n_found = 0
     last_zero = 0.0
     while True:
-        at = np.flatnonzero((f[:-1] > 0.0) != (f[1:] > 0.0))
+        # A strict sign pair: where J_nu underflows to 0 near the origin, a
+        # step from 0 to a positive value is no sign change.
+        at = np.flatnonzero((f[:-1] > 0.0) & (f[1:] < 0.0) | (f[:-1] < 0.0) & (f[1:] > 0.0))
         if at.size:
             found.append((x[at], x[at + 1], f[at], f[at + 1]))
             n_found += at.size

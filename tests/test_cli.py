@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from besselvisc.cli import main
+from besselvisc.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -142,3 +143,58 @@ class TestErrors:
         code, _, err = run(capsys, "respond", "--mode", "strain", "--order", "0",
                            "--history", "/nonexistent/h.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("history,times", [
+        ("time,value\n0.0,1.0\n1.0,nan\n", "0.0,0.5"),
+        ("time,value\n0.0,1.0\n1.0,1.0\n", "0.0,nan"),
+    ], ids=["nan_history_value", "nan_eval_time"])
+    def test_non_finite_respond_input(self, capsys, tmp_path, history, times):
+        hist = tmp_path / "h.csv"
+        hist.write_text(history)
+        code, out, err = run(capsys, "respond", "--mode", "strain", "--order", "0",
+                             "--history", str(hist), "--times", times)
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError" and "finite" in record["message"]
+
+
+def _cell_by_cell(x) -> str:
+    """The per-cell formatting that column-wise CSV output must reproduce."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+class TestEmit:
+    ROWS = [
+        {"b": True, "nb": np.bool_(False), "i": 3, "ni": np.int64(-7), "f": -0.0,
+         "nf": np.float64(1e-300), "f32": np.float32(0.1), "s": "series", "mixed": 1},
+        {"b": False, "nb": np.bool_(True), "i": -12, "ni": np.int32(0), "f": 1e-300,
+         "nf": np.float64(-0.0), "f32": np.float32(-2.5), "s": "asymptotic_short",
+         "mixed": 0.5},
+        {"b": True, "nb": np.bool_(True), "i": 0, "ni": np.int64(10**12), "f": 0.1 + 0.2,
+         "nf": np.float64(math.pi), "f32": np.float32(3.0), "s": "x", "mixed": np.bool_(True)},
+    ]
+
+    def test_csv_bytes_match_cell_by_cell(self, tmp_path):
+        columns = list(self.ROWS[0])
+        path = tmp_path / "out.csv"
+        _emit(self.ROWS, columns, "csv", str(path))
+        expected = "\n".join([",".join(columns)] + [
+            ",".join(_cell_by_cell(row[c]) for c in columns) for row in self.ROWS]) + "\n"
+        assert path.read_text() == expected
+        assert "-0.0" in expected and "1e-300" in expected
+
+    def test_json_bytes_unchanged(self, tmp_path):
+        path = tmp_path / "out.json"
+        _emit(self.ROWS, list(self.ROWS[0]), "json", str(path))
+        assert path.read_text() == json.dumps(self.ROWS, indent=2, default=_cell_by_cell) + "\n"
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        _emit([], ["t", "value"], "csv", str(path))
+        assert path.read_text() == "t,value\n"

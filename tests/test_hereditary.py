@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from besselvisc.errors import ExtrapolationError
-from besselvisc.hereditary import LoadHistory, strain_response, stress_response
+from besselvisc.hereditary import INTERPOLATIONS, LoadHistory, strain_response, stress_response
 from besselvisc.timedomain import SeriesPolicy, creep_compliance, phi, psi, relaxation_modulus
 
 ORDERS = [-0.5, 0.0, 0.5, 1.0]
@@ -162,3 +162,219 @@ class TestEvaluationGrid:
         assert curve.values.shape == (3,)
         assert np.all(np.isfinite(curve.values))
         assert curve.kind == "strain"
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("times,values", [
+        ([0.0, math.nan], [1.0, 1.0]),
+        ([0.0, math.inf], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, math.nan]),
+        ([0.0, 1.0], [-math.inf, 1.0]),
+    ])
+    def test_history_rejects_non_finite(self, times, values):
+        with pytest.raises(ValueError, match="finite"):
+            LoadHistory(np.array(times), np.array(values))
+
+    @pytest.mark.parametrize("responder,name", [(strain_response, "strain_response"),
+                                                (stress_response, "stress_response")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_eval_time_names_the_function(self, responder, name, bad):
+        with pytest.raises(ValueError, match=name):
+            responder(1.0, unit_step(), [0.0, bad])
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_one_knot_history(self, interpolation):
+        h = LoadHistory(np.array([0.0]), np.array([2.5]), interpolation)
+        with np.errstate(all="raise"):
+            assert h.value_at(0.0) == 2.5
+            assert strain_response(1.0, h, [0.0]).values[0] == 2.5
+            assert stress_response(1.0, h, [0.0]).values[0] == 2.5
+
+
+# --- exact superposition of step and ramp responses ----------------------------
+#
+# With a = 4(nu+1), rates l_n = j_{o,n}^2 (o = nu+2 for creep, nu for
+# relaxation) and the Rayleigh sums sum 1/l = 1/(4(o+1)), sum 1/l^2 =
+# 1/(16(o+1)^2(o+2)):
+#   J(s) = 1 + 4(nu+1)(nu+2) s + a [1/(4(o+1)) - sum e^{-l s}/l]
+#   G(s) = a sum e^{-l s}/l
+# and their integrals from 0 to s follow term by term.  At lags s >= 1e-3 a
+# 400-zero table leaves nothing representable out of the sums.
+
+MIN_LAG = 1e-3
+
+
+def _step_and_ramp(nu, creep, lag):
+    """Unit-step response and its integral (the unit-ramp response) at lags >= 0."""
+    from besselvisc.zeros import compute_zeros
+
+    o = nu + 2.0 if creep else nu
+    a = 4.0 * (nu + 1.0)
+    rates = compute_zeros(o, 400, 1e-11).zeros ** 2
+    lag = np.asarray(lag, dtype=float)
+    s = np.where(lag > 0.0, lag, 1.0)[:, None]
+    decay = np.exp(-rates * s)
+    e1 = (decay / rates).sum(axis=1)
+    e2 = (decay / rates**2).sum(axis=1)
+    r1, r2 = 0.25 / (o + 1.0), 1.0 / (16.0 * (o + 1.0) ** 2 * (o + 2.0))
+    s = s[:, 0]
+    if creep:
+        c = 4.0 * (nu + 1.0) * (nu + 2.0)
+        step = 1.0 + c * s + a * (r1 - e1)
+        ramp = s + 0.5 * c * s * s + a * (r1 * s - r2 + e2)
+    else:
+        step = a * e1
+        ramp = a * (r2 - e2)
+    return np.where(lag > 0.0, step, 1.0), np.where(lag > 0.0, ramp, 0.0)
+
+
+def _superposition(nu, creep, history, t):
+    """Response to ``history`` at times t, each 0 or at least MIN_LAG after
+    every knot before it."""
+    knots, values = history.times, history.values
+    out = np.zeros(t.shape)
+    if history.interpolation == "piecewise_constant":
+        jumps = np.diff(values, prepend=0.0)
+        for tk, jump in zip(knots, jumps):
+            past = t >= tk
+            out[past] += jump * _step_and_ramp(nu, creep, t[past] - tk)[0]
+        return out
+    out += values[0] * _step_and_ramp(nu, creep, t)[0]
+    slopes = np.diff(values) / np.diff(knots)
+    for k, slope in enumerate(slopes):
+        start = _step_and_ramp(nu, creep, np.maximum(t - knots[k], 0.0))[1]
+        end = _step_and_ramp(nu, creep, np.maximum(t - knots[k + 1], 0.0))[1]
+        out += slope * (start - end)
+    return out
+
+
+def _ramp_bound(nu, creep):
+    """Error per unit change of slope from the surrogate tail mode (as in the
+    benchmark's reference): a * (sum of 1/rate over the lumped modes) /
+    (first lumped rate), with modes kept while exp(-rate 1e-4) > 1e-12 / a."""
+    from besselvisc.zeros import compute_zeros
+
+    o = nu + 2.0 if creep else nu
+    a = 4.0 * (nu + 1.0)
+    rates = compute_zeros(o, 1024, 1e-11).zeros ** 2
+    kept = rates < math.log(a / 1e-12) / 1e-4
+    return a * (0.25 / (o + 1.0) - float(np.sum(1.0 / rates[kept]))) / rates[np.argmin(kept)]
+
+
+def _checkable(history, t):
+    """Mask of times that lie 0 or at least MIN_LAG after every earlier knot."""
+    lags = t[:, None] - history.times[None, :]
+    return np.all((lags <= 0.0) | (lags >= MIN_LAG), axis=1)
+
+
+def _history_and_grid(rng, steps, interpolation, knots=12, t_end=6.0):
+    """A random history and an irregular evaluation grid whose merged grid
+    has exactly ``steps`` steps; the interior knots are not on the grid."""
+    inner = np.sort(rng.uniform(0.05, t_end - 0.05, knots - 2))
+    history = LoadHistory(np.concatenate([[0.0], inner, [t_end]]),
+                          rng.uniform(-1.0, 1.0, knots), interpolation)
+    n_eval = steps + 1 - (knots - 2)
+    t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t_end, n_eval - 2)), [t_end]])
+    grid = np.unique(np.concatenate([history.times, t]))
+    assert grid.size - 1 == steps and np.unique(t).size == t.size
+    return history, t
+
+
+def _variation(values):
+    return abs(values[0]) + float(np.sum(np.abs(np.diff(values))))
+
+
+def _allowed_gap(nu, creep, history):
+    """1e-13 of the total variation, plus for piecewise-linear input the
+    surrogate tail's ramp error per unit change of slope, summed over the
+    slope changes (the benchmark's derived ramp bound)."""
+    gap = 1e-13 * _variation(history.values)
+    if history.interpolation == "piecewise_linear":
+        slopes = np.diff(history.values) / np.diff(history.times)
+        gap += _variation(slopes) * _ramp_bound(nu, creep)
+    return gap
+
+
+class TestExactSuperposition:
+    @pytest.mark.parametrize("steps", [255, 256, 257, 513, 4019])
+    @pytest.mark.parametrize("responder,creep", [(strain_response, True),
+                                                 (stress_response, False)])
+    def test_piecewise_constant(self, steps, responder, creep):
+        rng = np.random.default_rng(steps)
+        nu = 0.5
+        history, t = _history_and_grid(rng, steps, "piecewise_constant")
+        got = responder(nu, history, t).values
+        ok = _checkable(history, t)
+        assert ok.sum() > 0.9 * t.size
+        expect = _superposition(nu, creep, history, t[ok])
+        assert np.max(np.abs(got[ok] - expect)) <= _allowed_gap(nu, creep, history)
+
+    @pytest.mark.parametrize("steps", [255, 256, 257, 513, 4019])
+    @pytest.mark.parametrize("responder,creep", [(strain_response, True),
+                                                 (stress_response, False)])
+    def test_piecewise_linear(self, steps, responder, creep):
+        rng = np.random.default_rng(steps + 1)
+        nu = 0.0
+        history, t = _history_and_grid(rng, steps, "piecewise_linear")
+        got = responder(nu, history, t).values
+        ok = _checkable(history, t)
+        expect = _superposition(nu, creep, history, t[ok])
+        assert np.max(np.abs(got[ok] - expect)) <= _allowed_gap(nu, creep, history)
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_evaluation_on_knots(self, interpolation):
+        history = LoadHistory(np.array([0.0, 0.5, 1.25, 2.0]),
+                              np.array([0.3, -1.0, 0.8, 0.1]), interpolation)
+        t = history.times.copy()
+        for responder, creep in ((strain_response, True), (stress_response, False)):
+            got = responder(1.0, history, t).values
+            expect = _superposition(1.0, creep, history, t)
+            assert np.max(np.abs(got - expect)) <= _allowed_gap(1.0, creep, history)
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_time_zero_only(self, interpolation):
+        history = LoadHistory(np.array([0.0, 1.0]), np.array([-0.7, 0.4]), interpolation)
+        assert strain_response(0.0, history, [0.0]).values[0] == -0.7
+        assert stress_response(0.0, history, [0.0]).values[0] == -0.7
+
+
+def _loop_response(nu, creep, history, t_eval):
+    """The step-by-step engine the block engine replaced: one exact update of
+    every mode per merged-grid step, reading the history one point at a time."""
+    from besselvisc.timedomain import DEFAULT_POLICY, _sized_table, prony_modes
+
+    zeros_order = nu + 2.0 if creep else nu
+    table = _sized_table(zeros_order, 1e-4, DEFAULT_POLICY, 4.0 * (nu + 1.0))
+    modes = prony_modes(nu, "creep" if creep else "relax", table)
+    rates = np.concatenate([modes.rates, [modes.tail_rate]])
+    amps = np.concatenate([modes.amps, [modes.tail_amp]])
+    grid = np.unique(np.concatenate([history.times, t_eval]))
+    state, running, out = np.zeros_like(rates), 0.0, {}
+    for i in range(grid.size):
+        if i:
+            h = grid[i] - grid[i - 1]
+            v0 = history.value_at(grid[i - 1])
+            v1 = v0 if history.interpolation == "piecewise_constant" else history.value_at(grid[i])
+            x = rates * h
+            em1 = np.expm1(-x)
+            ramp = np.where(x < 1e-3, h * (0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0),
+                            (x + em1) / (rates**2 * h))
+            state = state * np.exp(-x) - v0 * em1 / rates + (v1 - v0) * ramp
+            running += 0.5 * h * (v0 + v1)
+        base = history.value_at(grid[i]) + (1.0 if creep else -1.0) * float(amps @ state)
+        out[grid[i]] = base + (modes.constant * running if creep else 0.0)
+    return np.array([out[t] for t in t_eval])
+
+
+class TestAgainstStepLoop:
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    @pytest.mark.parametrize("responder,creep", [(strain_response, True),
+                                                 (stress_response, False)])
+    def test_block_engine_matches_loop(self, interpolation, responder, creep):
+        # Only the summation order differs, so the gap is a few ulps of the
+        # largest state times the mode count.
+        rng = np.random.default_rng(7)
+        history, t = _history_and_grid(rng, 600, interpolation)
+        got = responder(-0.5, history, t).values
+        expect = _loop_response(-0.5, creep, history, t)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * _variation(history.values)

@@ -162,3 +162,33 @@ class TestInvertNumeric:
             TalbotConfig(node_count=14)
         with pytest.raises(ValueError):
             invert_numeric(lambda s: 1.0 / s, -1.0, CFG)
+
+
+class TestNegativeAxisAndInput:
+    @pytest.mark.parametrize("transform,den_shift", [(phi_tilde, 0.0), (psi_tilde, 2.0)])
+    def test_negative_axis_needs_two_j_pairs(self, monkeypatch, transform, den_shift):
+        import scipy.special as sp
+
+        import besselvisc.laplace as laplace
+
+        calls = []
+        real_pair = laplace._jv_pair
+
+        def counting(order, x):
+            calls.append(order)
+            return real_pair(order, x)
+
+        monkeypatch.setattr(laplace, "_jv_pair", counting)
+        nu, x = 1.3, 2.0
+        got = transform(nu, -x * x)
+        assert len(calls) == 2
+        sign = 1.0 if den_shift == 0.0 else -1.0
+        ref = sign * 2.0 * (nu + 1.0) / x * sp.jv(nu + 1.0, x) / sp.jv(nu + den_shift, x)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 1.0)])
+    def test_non_finite_s_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            phi_tilde(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            psi_tilde(1.0, bad)

@@ -160,3 +160,46 @@ class TestRayleighSum:
         assert rs.tail_estimate > 0.0
         # the paper-style fixed-truncation value is the partial sum
         assert rs.partial_sum == pytest.approx(0.25, abs=2e-3)
+
+
+class TestLargeOrders:
+    """Orders where J_nu underflows to 0 at the head of the sign scan."""
+
+    @pytest.mark.parametrize("nu", [120.0, 200.0, 500.0])
+    def test_against_mpmath(self, nu):
+        import mpmath
+        import scipy.special as sp
+
+        tab = compute_zeros(nu, 100, 1e-11)
+        assert tab.zeros[0] > nu and np.all(np.diff(tab.zeros) > 0.0)
+        scipy_zeros = sp.jn_zeros(int(nu), 100)
+        for n in (1, 2, 10, 100):
+            z = float(tab.zeros[n - 1])
+            if nu < 500.0:
+                ref = float(mpmath.besseljzero(nu, n))
+            else:
+                # mpmath's index search takes over a minute at this order, so
+                # scipy's integer-order table fixes the index and mpmath
+                # confirms the root on a bracket.
+                f = lambda x: mpmath.besselj(nu, x)  # noqa: E731
+                assert f(z - 1e-3) * f(z + 1e-3) < 0
+                ref = float(mpmath.findroot(f, (z - 1e-3, z + 1e-3), solver="anderson"))
+                assert abs(float(scipy_zeros[n - 1]) - ref) <= 1e-11 * ref
+            assert abs(z - ref) <= 1e-11 * ref, (nu, n)
+
+    def test_relaxation_modulus_at_order_120(self):
+        import scipy.special as sp
+
+        from besselvisc.timedomain import relaxation_modulus
+
+        # G(t) = 4(nu+1) sum_n exp(-j_n^2 t) / j_n^2 over scipy's zeros.
+        j = sp.jn_zeros(120, 200)
+        ref = float(np.sum(4.0 * 121.0 * np.exp(-j * j * 0.01) / (j * j)))
+        assert ref == pytest.approx(6.0705009e-75, rel=1e-7)
+        assert relaxation_modulus(120, 0.01) == pytest.approx(ref, rel=1e-10)
+
+    def test_no_overflow_at_order_160(self):
+        from besselvisc.timedomain import creep_compliance, relaxation_modulus
+
+        assert 0.0 < relaxation_modulus(160, 0.01) < 1e-100
+        assert creep_compliance(160, 0.01) > 1.0
