@@ -7,15 +7,7 @@ domain they are Dirichlet series over squared Bessel-function zeros, and
 the material functions follow by termwise integration.
 """
 
-from .asymptotics import (
-    AsymptoticBranch,
-    creep_asymptotic,
-    crossover_report,
-    find_crossover_time,
-    modulus_asymptotic,
-    phi_asymptotic,
-    psi_asymptotic,
-)
+from .asymptotics import approximants, crossover_report, find_crossover_time
 from .errors import (
     BelowMinTimeError,
     BesselViscError,
@@ -26,16 +18,7 @@ from .errors import (
 )
 from .hereditary import LoadHistory, strain_response, stress_response
 from .laplace import TalbotConfig, check_reciprocity, invert_numeric, phi_tilde, psi_tilde
-from .specfun import (
-    DEFAULT_ACCURACY,
-    EvalAccuracy,
-    Order,
-    bessel_i,
-    bessel_i_ratio,
-    bessel_j,
-    bessel_j_deriv,
-    gamma,
-)
+from .specfun import Order, bessel_i_ratio, bessel_j, bessel_j_deriv
 from .timedomain import (
     MaterialCurve,
     SeriesPolicy,
@@ -51,12 +34,9 @@ from .zeros import RayleighResult, ZeroTable, compute_zeros, mcmahon_zero, rayle
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticBranch",
     "BelowMinTimeError",
     "BesselViscError",
     "ConvergenceError",
-    "DEFAULT_ACCURACY",
-    "EvalAccuracy",
     "ExtrapolationError",
     "InsufficientZerosError",
     "LoadHistory",
@@ -67,26 +47,21 @@ __all__ = [
     "SeriesPolicy",
     "TalbotConfig",
     "ZeroTable",
-    "bessel_i",
+    "approximants",
     "bessel_i_ratio",
     "bessel_j",
     "bessel_j_deriv",
     "check_reciprocity",
     "compute_zeros",
-    "creep_asymptotic",
     "creep_compliance",
     "crossover_report",
     "find_crossover_time",
-    "gamma",
     "invert_numeric",
     "mcmahon_zero",
-    "modulus_asymptotic",
     "phi",
-    "phi_asymptotic",
     "phi_tilde",
     "prony_modes",
     "psi",
-    "psi_asymptotic",
     "psi_tilde",
     "rayleigh_sum",
     "relaxation_modulus",

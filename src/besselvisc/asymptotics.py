@@ -8,7 +8,6 @@ and to single-exponential relaxation at the first squared zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,11 +15,7 @@ from .specfun import order_value
 from .zeros import compute_zeros
 
 __all__ = [
-    "AsymptoticBranch",
-    "psi_asymptotic",
-    "phi_asymptotic",
-    "creep_asymptotic",
-    "modulus_asymptotic",
+    "approximants",
     "psi_short_time",
     "phi_short_time",
     "creep_short_time",
@@ -30,19 +25,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-@dataclass(frozen=True)
-class AsymptoticBranch:
-    """Selects the short_time or long_time approximant for one order."""
-
-    kind: str
-    nu: float
-
-    def __post_init__(self):
-        if self.kind not in ("short_time", "long_time"):
-            raise ValueError(f"kind must be short_time or long_time, got {self.kind!r}")
-        object.__setattr__(self, "nu", order_value(self.nu))
 
 
 def _first_rate(nu: float) -> float:
@@ -88,60 +70,35 @@ def _short_time_rate_correction(kind: str, nu: float) -> float:
     raise ValueError(f"first correction is defined for creep_rate and relax_rate, got {kind!r}")
 
 
-def psi_asymptotic(branch: AsymptoticBranch, t: float) -> float:
-    """Rate-of-creep approximant on the selected branch."""
-    if t <= 0.0:
-        raise ValueError(f"asymptotic forms require t > 0, got {t}")
-    nu = branch.nu
-    if branch.kind == "short_time":
-        return psi_short_time(nu, t)
-    return 4.0 * (nu + 1.0) * (nu + 2.0)
-
-
-def phi_asymptotic(branch: AsymptoticBranch, t: float) -> float:
-    """Rate-of-relaxation approximant on the selected branch."""
-    if t <= 0.0:
-        raise ValueError(f"asymptotic forms require t > 0, got {t}")
-    nu = branch.nu
-    if branch.kind == "short_time":
-        return phi_short_time(nu, t)
-    return 4.0 * (nu + 1.0) * math.exp(-_first_rate(nu) * t)
-
-
-def creep_asymptotic(branch: AsymptoticBranch, t: float) -> float:
-    """Creep-compliance approximant on the selected branch."""
-    if t <= 0.0:
-        raise ValueError(f"asymptotic forms require t > 0, got {t}")
-    nu = branch.nu
-    if branch.kind == "short_time":
-        return creep_short_time(nu, t)
-    return 2.0 * (nu + 2.0) / (nu + 3.0) + 4.0 * (nu + 1.0) * (nu + 2.0) * t
-
-
-def modulus_asymptotic(branch: AsymptoticBranch, t: float) -> float:
-    """Relaxation-modulus approximant on the selected branch."""
-    if t <= 0.0:
-        raise ValueError(f"asymptotic forms require t > 0, got {t}")
-    nu = branch.nu
-    if branch.kind == "short_time":
-        return modulus_short_time(nu, t)
-    rate = _first_rate(nu)
-    return 4.0 * (nu + 1.0) / rate * math.exp(-rate * t)
-
-
-_ASYMPTOTIC_BY_KIND = {
-    "creep_rate": psi_asymptotic,
-    "relax_rate": phi_asymptotic,
-    "creep_compliance": creep_asymptotic,
-    "relax_modulus": modulus_asymptotic,
+_SHORT_TIME = {
+    "creep_rate": psi_short_time,
+    "relax_rate": phi_short_time,
+    "creep_compliance": creep_short_time,
+    "relax_modulus": modulus_short_time,
 }
 
 
-def _branch_values(nu: float, kind: str, t: float) -> tuple[float, float]:
-    f = _ASYMPTOTIC_BY_KIND[kind]
-    short = f(AsymptoticBranch("short_time", nu), t)
-    long_ = f(AsymptoticBranch("long_time", nu), t)
-    return short, long_
+def approximants(order, kind: str, t: float) -> tuple[float, float]:
+    """Short- and long-time approximants of one curve kind at a time t > 0.
+
+    The long-time forms are the Newtonian-plus-constant creep side and the
+    single exponential at the first squared zero on the relaxation side.
+    """
+    nu = order_value(order)
+    if kind not in _SHORT_TIME:
+        raise ValueError(f"approximants: unknown curve kind {kind!r}")
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"approximants require a finite t > 0, got {t}")
+    short = _SHORT_TIME[kind](nu, t)
+    if kind == "creep_rate":
+        return short, 4.0 * (nu + 1.0) * (nu + 2.0)
+    if kind == "creep_compliance":
+        return short, 2.0 * (nu + 2.0) / (nu + 3.0) + 4.0 * (nu + 1.0) * (nu + 2.0) * t
+    rate = _first_rate(nu)
+    if kind == "relax_rate":
+        return short, 4.0 * (nu + 1.0) * math.exp(-rate * t)
+    return short, 4.0 * (nu + 1.0) / rate * math.exp(-rate * t)
 
 
 def crossover_report(order, kind: str, t_grid, policy=None):
@@ -153,13 +110,13 @@ def crossover_report(order, kind: str, t_grid, policy=None):
     from . import timedomain  # deferred: timedomain imports this module
 
     nu = order_value(order)
-    if kind not in _ASYMPTOTIC_BY_KIND:
+    if kind not in _SHORT_TIME:
         raise ValueError(f"unknown curve kind {kind!r}")
     policy = policy if policy is not None else timedomain.DEFAULT_POLICY
     curve = timedomain.sample_curve(nu, kind, np.asarray(t_grid, dtype=float), policy)
     rows = []
     for t, series in zip(curve.times, curve.values):
-        short, long_ = _branch_values(nu, kind, float(t))
+        short, long_ = approximants(nu, kind, float(t))
         err_s = abs(short - series) / max(abs(series), 1e-300)
         err_l = abs(long_ - series) / max(abs(series), 1e-300)
         best = "short_time" if err_s <= err_l else "long_time"

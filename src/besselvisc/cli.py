@@ -85,18 +85,12 @@ def _grid_from_args(args) -> np.ndarray:
 
 
 def _policy_from_args(args) -> SeriesPolicy:
-    return SeriesPolicy(
-        tail_tol=args.tail_tol,
-        max_terms=args.max_terms,
-        min_time=args.min_time,
-    )
+    return SeriesPolicy(tail_tol=args.tail_tol, min_time=args.min_time)
 
 
 def _add_policy_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tail-tol", type=float, default=1e-12,
                         help="absolute bound on the neglected series tail")
-    parser.add_argument("--max-terms", type=int, default=10000,
-                        help="cap on the number of series terms")
     parser.add_argument("--min-time", type=float, default=1e-6,
                         help="below this time memory functions switch to the "
                              "short-time asymptotic")

@@ -28,6 +28,7 @@ from .timedomain import (
     MaterialCurve,
     SeriesPolicy,
     _sized_table,
+    _zeros_order,
     prony_modes,
 )
 
@@ -103,7 +104,6 @@ def _respond(nu: float, kind: str, history: LoadHistory, t_eval, policy: SeriesP
             f"{history.t_end}"
         )
 
-    zeros_order = nu + 2.0 if kind == "creep" else nu
     grid = np.unique(np.concatenate([history.times, eval_times]))
     gaps = np.diff(grid)
     # The mode count depends on the policy only, never on the input, so the
@@ -111,7 +111,7 @@ def _respond(nu: float, kind: str, history: LoadHistory, t_eval, policy: SeriesP
     # kernel lags down to t_kernel; shorter lags ride on the surrogate tail
     # mode, whose integrated weight is exact.
     t_kernel = max(policy.min_time, 1e-4)
-    table = _sized_table(zeros_order, t_kernel, policy, 4.0 * (nu + 1.0))
+    table = _sized_table(_zeros_order(nu, kind), t_kernel, policy, 4.0 * (nu + 1.0))
     modes = prony_modes(nu, kind, table)
 
     rates = np.concatenate([modes.rates, [modes.tail_rate]])

@@ -35,14 +35,13 @@ _POLE_EXCLUSION = 1e-6  # radius in s around each pole where we refuse to evalua
 class TalbotConfig:
     """Fixed-Talbot quadrature parameters.
 
-    ``contour_scale`` is the base abscissa r of the contour; when None it
-    defaults to the usual rule of thumb 2*node_count/(5*t) per evaluation
-    time.  ``compare_half`` re-runs the sum with half the nodes and warns
-    when the two estimates disagree beyond ``agree_tol`` relative.
+    The base abscissa of the contour follows the usual rule of thumb
+    2*node_count/(5*t) per evaluation time.  ``compare_half`` re-runs the
+    sum with half the nodes and warns when the two estimates disagree
+    beyond ``agree_tol`` relative.
     """
 
     node_count: int = 48
-    contour_scale: float | None = None
     compare_half: bool = True
     agree_tol: float = 1e-6
 
@@ -51,8 +50,6 @@ class TalbotConfig:
             raise ValueError(
                 f"node_count must be even and >= 16, got {self.node_count}"
             )
-        if self.contour_scale is not None and self.contour_scale <= 0.0:
-            raise ValueError("contour_scale must be positive")
 
 
 def _j_pair(order: float, x: float) -> tuple[float, float]:
@@ -140,8 +137,8 @@ def phi_tilde(order, s):
 
 def check_reciprocity(order, s: float) -> float:
     """Residual |(1 + psi_tilde)(1 - phi_tilde) - 1| at real s > 0."""
-    if s <= 0.0:
-        raise ValueError(f"reciprocity check requires real s > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"check_reciprocity: s must be real, finite and > 0, got {s}")
     ps = psi_tilde(order, s)
     ph = phi_tilde(order, s)
     return abs((1.0 + ps) * (1.0 - ph) - 1.0)
@@ -185,8 +182,8 @@ def invert_numeric(f, t: float, cfg: TalbotConfig = TalbotConfig(),
     below the answer instead of above it.  It must not exceed the distance
     from the origin to the transform's rightmost singularity.
     """
-    if t <= 0.0:
-        raise ValueError(f"inversion time must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"invert_numeric: t must be finite and positive, got {t}")
     if shift != 0.0:
         g = lambda s: f(s - shift)  # noqa: E731
         damp = math.exp(-shift * t)
@@ -194,8 +191,7 @@ def invert_numeric(f, t: float, cfg: TalbotConfig = TalbotConfig(),
         g = f
         damp = 1.0
     m = cfg.node_count
-    r = cfg.contour_scale if cfg.contour_scale is not None else 2.0 * m / (5.0 * t)
-    value = _talbot_sum(g, t, m, r)
+    value = _talbot_sum(g, t, m, 2.0 * m / (5.0 * t))
     if cfg.compare_half:
         half = _talbot_sum(g, t, m // 2, 2.0 * (m // 2) / (5.0 * t))
         denom = max(abs(value), 1e-300)

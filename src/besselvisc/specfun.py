@@ -1,15 +1,17 @@
-"""Gamma and Bessel-function evaluation for real order nu > -1.
+"""Bessel-function evaluation for real order nu > -1.
 
 All evaluators here are pure functions of their arguments.  J is evaluated
 by one lane-parallel evaluator over arrays of x, which the scalar
-``bessel_j`` and ``bessel_j_deriv`` wrap; gamma and the I evaluators take
-scalars.  The ratio evaluator is overflow-safe: it never forms an unscaled
-I_nu(z), so it stays finite for arguments far beyond the range where I_nu
-itself is representable.
+``bessel_j`` and ``bessel_j_deriv`` wrap.  The modified Bessel function I
+enters only through the ratio of contiguous orders, which takes a scalar,
+real or complex.  The ratio evaluator is overflow-safe: it never forms an
+unscaled I_nu(z), so it stays finite for arguments far beyond the range
+where I_nu itself is representable.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,10 +21,6 @@ from .errors import ConvergenceError, PoleError
 
 __all__ = [
     "Order",
-    "EvalAccuracy",
-    "DEFAULT_ACCURACY",
-    "gamma",
-    "bessel_i",
     "bessel_i_ratio",
     "bessel_j",
     "bessel_j_deriv",
@@ -49,77 +47,22 @@ def order_value(order) -> float:
     return Order(float(order)).nu
 
 
-@dataclass(frozen=True)
-class EvalAccuracy:
-    """Truncation policy for the power-series evaluators."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if self.max_terms < 10:
-            raise ValueError(f"max_terms must be >= 10, got {self.max_terms!r}")
+_IV_SERIES_TOL = 1e-15
+_IV_SERIES_TERMS = 1200
 
 
-DEFAULT_ACCURACY = EvalAccuracy()
-
-# Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set).
-# Accurate to ~1e-15 relative on the positive real axis.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the real line (poles at non-positive integers)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"gamma requires a finite argument, got {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma has a pole at {x}")
-    if x < 0.5:
-        # Reflection keeps the Lanczos sum on its well-conditioned range.
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    value = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-    if not math.isfinite(value):
-        raise OverflowError(f"gamma({x}) exceeds the representable range")
-    return value
-
-
-def _iv_series(order: float, z, rel_tol: float, max_terms: int):
-    """Ascending series for I_order(z); works for real or complex z."""
+def _iv_series(order: float, z: complex) -> complex:
+    """Ascending series for I_order(z) at complex z."""
     q = 0.25 * z * z
-    term = (0.5 * z) ** order / gamma(order + 1.0)
+    term = cmath.exp(order * cmath.log(0.5 * z) - math.lgamma(order + 1.0))
     total = term
-    for k in range(1, max_terms + 1):
+    for k in range(1, _IV_SERIES_TERMS + 1):
         term = term * q / (k * (order + k))
         total += term
-        if abs(term) <= rel_tol * abs(total) and k * (order + k) > abs(q):
+        if abs(term) <= _IV_SERIES_TOL * abs(total) and k * (order + k) > abs(q):
             return total
     raise ConvergenceError(
-        f"I_{order}({z}): series did not converge within {max_terms} terms"
+        f"I_{order}({z}): series did not converge within {_IV_SERIES_TERMS} terms"
     )
 
 
@@ -144,41 +87,6 @@ def _asymptotic_tail_sum(order: float, z):
             break
         prev_mag = mag
     return total
-
-
-def _iv_asymptotic_ok(order: float, zmag: float) -> bool:
-    return zmag >= 30.0 and 4.0 * order * order + 10.0 <= zmag
-
-
-def bessel_i(order: float, z: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
-    """Modified Bessel function I_order(z) for real order >= -1, z > 0.
-
-    Raises OverflowError when the unscaled value is not representable;
-    callers needing large arguments should use :func:`bessel_i_ratio`.
-    """
-    order = float(order)
-    z = float(z)
-    if order < -1.0:
-        raise ValueError(f"bessel_i requires order >= -1, got {order}")
-    if z <= 0.0:
-        raise ValueError(f"bessel_i requires z > 0, got {z}")
-    if order == -1.0:
-        order = 1.0  # I_{-1} = I_1
-    if z > 30.0:
-        if _iv_asymptotic_ok(order, z):
-            log_lead = z - 0.5 * math.log(2.0 * math.pi * z)
-            if log_lead > 709.0:
-                raise OverflowError(
-                    f"I_{order}({z}) overflows; use bessel_i_ratio for large z"
-                )
-            return math.exp(log_lead) * _asymptotic_tail_sum(order, z)
-        # Large order relative to z: the series still converges, it just
-        # needs more terms than the default budget.
-        value = _iv_series(order, z, acc.rel_tol, max(acc.max_terms, int(3 * z) + 80))
-        if not math.isfinite(value):
-            raise OverflowError(f"I_{order}({z}) overflows")
-        return value
-    return _iv_series(order, z, acc.rel_tol, acc.max_terms)
 
 
 def _iv_ratio_cf(lo: float, z: float) -> float:
@@ -218,8 +126,8 @@ def _iv_ratio_up(lo: float, z) -> "float | complex":
             # Series quotient: stays well-behaved arbitrarily close to the
             # ratio's poles on the imaginary axis, which the continued
             # fraction does not.
-            num = _iv_series(hi, z, 1e-15, 1200)
-            den = _iv_series(lo, z, 1e-15, 1200)
+            num = _iv_series(hi, z)
+            den = _iv_series(lo, z)
             if den == 0:
                 raise PoleError(f"I_{lo}({z}) vanishes; ratio has a pole here")
             return num / den
@@ -245,10 +153,13 @@ def bessel_i_ratio(order_num: float, order_den: float, z) -> "float | complex":
         raise ValueError(f"orders must exceed -1, got {a}, {b}")
     if isinstance(z, complex) and z.imag == 0.0:
         z = z.real
-    if not isinstance(z, complex):
+    if isinstance(z, complex):
+        if not cmath.isfinite(z):
+            raise ValueError(f"bessel_i_ratio: z must be finite, got {z}")
+    else:
         z = float(z)
-        if z <= 0.0:
-            raise ValueError(f"real z must be positive, got {z}")
+        if not 0.0 < z < math.inf:
+            raise ValueError(f"bessel_i_ratio: real z must be finite and positive, got {z}")
     if a > b:
         return _iv_ratio_up(b, z)
     ratio = _iv_ratio_up(a, z)

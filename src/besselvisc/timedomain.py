@@ -31,7 +31,6 @@ __all__ = [
     "creep_compliance",
     "relaxation_modulus",
     "sample_curve",
-    "required_zero_count",
     "prony_modes",
     "PronyModes",
 ]
@@ -40,11 +39,12 @@ DEFAULT_ZERO_TOL = 1e-11
 
 CURVE_KINDS = ("creep_rate", "relax_rate", "creep_compliance", "relax_modulus")
 
-# Memory-function kinds differentiate the material functions; the zero
-# order is nu+2 on the creep side and nu on the relaxation side.
-_CREEP_KINDS = ("creep_rate", "creep_compliance")
+_MAX_TERMS = 10000  # cap on series terms, which bounds the table a small min_time demands
 
-PROVENANCES = ("series", "asymptotic_short", "asymptotic_long", "oracle")
+
+def _zeros_order(nu: float, side: str) -> float:
+    """Order of the zeros behind one side: nu+2 for 'creep', nu for 'relax'."""
+    return nu + 2.0 if side == "creep" else nu
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,13 @@ class SeriesPolicy:
     """
 
     tail_tol: float = 1e-12
-    max_terms: int = 10000
     min_time: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.tail_tol < 1.0):
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        if self.max_terms < 100:
-            raise ValueError(f"max_terms must be >= 100, got {self.max_terms}")
-        if self.min_time <= 0.0:
-            raise ValueError(f"min_time must be positive, got {self.min_time}")
+        if not (0.0 < self.min_time < math.inf):
+            raise ValueError(f"min_time must be finite and positive, got {self.min_time}")
 
 
 DEFAULT_POLICY = SeriesPolicy()
@@ -146,7 +143,7 @@ def prony_modes(order, kind: str, table: ZeroTable) -> PronyModes:
     nu = order_value(order)
     if kind not in ("creep", "relax"):
         raise ValueError(f"kind must be 'creep' or 'relax', got {kind!r}")
-    zeros_order = nu + 2.0 if kind == "creep" else nu
+    zeros_order = _zeros_order(nu, kind)
     if abs(table.nu - zeros_order) > 1e-12:
         raise ValueError(
             f"zero table is for order {table.nu}, expected {zeros_order}"
@@ -179,8 +176,7 @@ def required_zero_count(zeros_order: float, t: float, tail_tol: float, amplitude
     return max(4, math.ceil(1.15 * n) + 6)
 
 
-def _certified_terms(table: ZeroTable, t: float, tail_tol: float, amplitude: float,
-                     max_terms: int) -> int:
+def _certified_terms(table: ZeroTable, t: float, tail_tol: float, amplitude: float) -> int:
     """Smallest m with amplitude * tail(m) <= tail_tol, or raise.
 
     The tail after m kept terms is bounded geometrically by the smallest
@@ -200,7 +196,7 @@ def _certified_terms(table: ZeroTable, t: float, tail_tol: float, amplitude: flo
             required_count=max(2 * n, 16),
         )
     suffix_min = np.minimum.accumulate(gaps[::-1])[::-1]
-    cap = min(n - 1, max_terms)
+    cap = min(n - 1, _MAX_TERMS)
     for m in range(1, cap + 1):
         lam_next = rates[m]  # first neglected rate
         gap = float(suffix_min[m]) if m < gaps.size else float(gaps[-1])
@@ -236,7 +232,7 @@ def _sized_table(zeros_order: float, t: float, policy: SeriesPolicy, amplitude: 
     if t > 0.0:
         count = required_zero_count(zeros_order, max(t, policy.min_time),
                                     policy.tail_tol, amplitude)
-        count = min(count, policy.max_terms + 1)
+        count = min(count, _MAX_TERMS + 1)
     count = _TABLE_QUANTUM * math.ceil(count / _TABLE_QUANTUM)
     return compute_zeros(zeros_order, count, DEFAULT_ZERO_TOL)
 
@@ -248,15 +244,9 @@ def _finite_time(t) -> float:
     return t
 
 
-def psi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
-        zeros: ZeroTable | None = None) -> float:
-    """Rate-of-creep memory function: constant + Dirichlet series.
-
-    ``zeros`` must tabulate zeros of order nu+2; when omitted, a table
-    sized for (t, tail_tol) is computed and memoized internally.
-    """
-    nu = order_value(order)
-    t = _finite_time(t)
+def _rate(nu: float, side: str, t: float, policy: SeriesPolicy,
+          zeros: ZeroTable | None) -> float:
+    """Memory function of one side: its constant plus the Dirichlet series."""
     if t < policy.min_time:
         raise BelowMinTimeError(
             f"t={t} is below min_time={policy.min_time}; "
@@ -264,10 +254,41 @@ def psi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
         )
     amp = 4.0 * (nu + 1.0)
     if zeros is None:
-        zeros = _sized_table(nu + 2.0, t, policy, amp)
-    m = _certified_terms(zeros, t, policy.tail_tol, amp, policy.max_terms)
+        zeros = _sized_table(_zeros_order(nu, side), t, policy, amp)
+    m = _certified_terms(zeros, t, policy.tail_tol, amp)
     decay = np.exp(-zeros.rates[:m] * t)
-    return 4.0 * (nu + 1.0) * (nu + 2.0) + amp * float(np.sum(decay))
+    constant = 4.0 * (nu + 1.0) * (nu + 2.0) if side == "creep" else 0.0
+    return constant + amp * float(np.sum(decay))
+
+
+def _material(nu: float, side: str, t: float, policy: SeriesPolicy,
+              zeros: ZeroTable | None, return_tail_bound: bool = False):
+    """Material function of one side, tail-corrected to 1 at t = 0."""
+    if t < 0.0:
+        raise ValueError(f"material functions require t >= 0, got {t}")
+    amp = 4.0 * (nu + 1.0)
+    if zeros is None:
+        zeros = _sized_table(_zeros_order(nu, side), t, policy, amp)
+    modes = prony_modes(nu, side, zeros)
+    rates = modes.rates[:_MAX_TERMS]
+    decay_sum = float(np.sum(np.exp(-rates * t) / rates))
+    tail_term = (modes.tail_weight / amp) * math.exp(-min(modes.tail_rate * t, 745.0))
+    value = amp * (decay_sum + tail_term)
+    if side == "creep":
+        value = 2.0 * (nu + 2.0) / (nu + 3.0) + modes.constant * t - value
+    if return_tail_bound:
+        return value, amp * tail_term
+    return value
+
+
+def psi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
+        zeros: ZeroTable | None = None) -> float:
+    """Rate-of-creep memory function: constant + Dirichlet series.
+
+    ``zeros`` must tabulate zeros of order nu+2; when omitted, a table
+    sized for (t, tail_tol) is computed and memoized internally.
+    """
+    return _rate(order_value(order), "creep", _finite_time(t), policy, zeros)
 
 
 def phi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
@@ -276,19 +297,7 @@ def phi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
 
     ``zeros`` must tabulate zeros of order nu.
     """
-    nu = order_value(order)
-    t = _finite_time(t)
-    if t < policy.min_time:
-        raise BelowMinTimeError(
-            f"t={t} is below min_time={policy.min_time}; "
-            "use the short-time asymptotic branch"
-        )
-    amp = 4.0 * (nu + 1.0)
-    if zeros is None:
-        zeros = _sized_table(nu, t, policy, amp)
-    m = _certified_terms(zeros, t, policy.tail_tol, amp, policy.max_terms)
-    decay = np.exp(-zeros.rates[:m] * t)
-    return amp * float(np.sum(decay))
+    return _rate(order_value(order), "relax", _finite_time(t), policy, zeros)
 
 
 def creep_compliance(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
@@ -301,50 +310,16 @@ def creep_compliance(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
     inverse-square remainder decaying at the first untabulated rate, which
     also bounds the residual error (reported when requested).
     """
-    nu = order_value(order)
-    t = _finite_time(t)
-    if t < 0.0:
-        raise ValueError(f"creep compliance requires t >= 0, got {t}")
-    if zeros is None:
-        zeros = _sized_table(nu + 2.0, t, policy, 4.0 * (nu + 1.0))
-    modes = prony_modes(nu, "creep", zeros)
-    m = min(len(zeros), policy.max_terms)
-    rates = modes.rates[:m]
-    decay_sum = float(np.sum(np.exp(-rates * t) / rates))
-    tail_term = (modes.tail_weight / (4.0 * (nu + 1.0))) * math.exp(
-        -min(modes.tail_rate * t, 745.0)
-    )
-    value = (
-        2.0 * (nu + 2.0) / (nu + 3.0)
-        + 4.0 * (nu + 1.0) * (nu + 2.0) * t
-        - 4.0 * (nu + 1.0) * (decay_sum + tail_term)
-    )
-    if return_tail_bound:
-        return value, 4.0 * (nu + 1.0) * tail_term
-    return value
+    return _material(order_value(order), "creep", _finite_time(t), policy, zeros,
+                     return_tail_bound)
 
 
 def relaxation_modulus(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
                        zeros: ZeroTable | None = None,
                        return_tail_bound: bool = False):
     """Relaxation modulus, tail-corrected so that the t = 0 value is exactly 1."""
-    nu = order_value(order)
-    t = _finite_time(t)
-    if t < 0.0:
-        raise ValueError(f"relaxation modulus requires t >= 0, got {t}")
-    if zeros is None:
-        zeros = _sized_table(nu, t, policy, 4.0 * (nu + 1.0))
-    modes = prony_modes(nu, "relax", zeros)
-    m = min(len(zeros), policy.max_terms)
-    rates = modes.rates[:m]
-    decay_sum = float(np.sum(np.exp(-rates * t) / rates))
-    tail_term = (modes.tail_weight / (4.0 * (nu + 1.0))) * math.exp(
-        -min(modes.tail_rate * t, 745.0)
-    )
-    value = 4.0 * (nu + 1.0) * (decay_sum + tail_term)
-    if return_tail_bound:
-        return value, 4.0 * (nu + 1.0) * tail_term
-    return value
+    return _material(order_value(order), "relax", _finite_time(t), policy, zeros,
+                     return_tail_bound)
 
 
 def sample_curve(order, kind: str, t_grid, policy: SeriesPolicy = DEFAULT_POLICY) -> MaterialCurve:
@@ -369,20 +344,15 @@ def sample_curve(order, kind: str, t_grid, policy: SeriesPolicy = DEFAULT_POLICY
     if grid[0] < 0.0:
         raise ValueError("times must be non-negative")
 
-    zeros_order = nu + 2.0 if kind in _CREEP_KINDS else nu
+    side = kind.partition("_")[0]  # 'creep' or 'relax'
     series_times = grid[grid >= policy.min_time] if is_memory else grid
     table = None
     if series_times.size:
         positive = series_times[series_times > 0.0]
         t_min = float(positive[0]) if positive.size else 0.0
-        table = _sized_table(zeros_order, t_min, policy, 4.0 * (nu + 1.0))
+        table = _sized_table(_zeros_order(nu, side), t_min, policy, 4.0 * (nu + 1.0))
 
-    evaluator = {
-        "creep_rate": psi,
-        "relax_rate": phi,
-        "creep_compliance": creep_compliance,
-        "relax_modulus": relaxation_modulus,
-    }[kind]
+    evaluator = _rate if is_memory else _material
     short_form = {
         "creep_rate": asymptotics.psi_short_time,
         "relax_rate": asymptotics.phi_short_time,
@@ -396,7 +366,7 @@ def sample_curve(order, kind: str, t_grid, policy: SeriesPolicy = DEFAULT_POLICY
             values[i] = short_form(nu, t)
             provenance.append("asymptotic_short")
         else:
-            values[i] = evaluator(nu, t, policy, table)
+            values[i] = evaluator(nu, side, t, policy, table)
             provenance.append("series")
     return MaterialCurve(nu=nu, kind=kind, times=grid, values=values,
                          provenance=tuple(provenance))

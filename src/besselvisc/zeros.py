@@ -158,12 +158,13 @@ def compute_zeros(order, count: int, abs_tol: float = 1e-11) -> ZeroTable:
     the cache is a pure memo and is safe under concurrent use.
     """
     nu = order_value(order)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    n = float(count)
+    if not (1.0 <= n < math.inf and n == math.floor(n)):
+        raise ValueError(f"compute_zeros: count must be an integer >= 1, got {count!r}")
     if not (0.0 < abs_tol <= 1e-6):
         raise ValueError(f"abs_tol must lie in (0, 1e-6], got {abs_tol}")
     nu_key = round(nu / 1e-14) * 1e-14  # collapse representation noise
-    zeros = _zero_tuple(nu_key, int(count), float(abs_tol))
+    zeros = _zero_tuple(nu_key, int(n), float(abs_tol))
     return ZeroTable(nu=nu, zeros=np.array(zeros), abs_tol=abs_tol)
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from besselvisc.asymptotics import (
-    AsymptoticBranch,
-    creep_asymptotic,
+    approximants,
+    creep_short_time,
     crossover_report,
     find_crossover_time,
-    modulus_asymptotic,
-    phi_asymptotic,
-    psi_asymptotic,
+    modulus_short_time,
+    phi_short_time,
+    psi_short_time,
 )
 from besselvisc.timedomain import (
     SeriesPolicy,
@@ -24,56 +24,64 @@ from besselvisc.zeros import compute_zeros
 ORDERS = [-0.5, 0.0, 0.5, 1.0]
 
 
-def short(nu):
-    return AsymptoticBranch("short_time", nu)
+def short(nu, kind, t):
+    return approximants(nu, kind, t)[0]
 
 
-def long(nu):
-    return AsymptoticBranch("long_time", nu)
+def long(nu, kind, t):
+    return approximants(nu, kind, t)[1]
 
 
 class TestClosedForms:
     def test_short_time_forms_at_nu_zero(self):
         t = 0.01
         expect = 2.0 / math.sqrt(math.pi) / math.sqrt(t)
-        assert psi_asymptotic(short(0.0), t) == pytest.approx(expect, rel=1e-14)
-        assert phi_asymptotic(short(0.0), t) == pytest.approx(expect, rel=1e-14)
+        assert short(0.0, "creep_rate", t) == pytest.approx(expect, rel=1e-14)
+        assert short(0.0, "relax_rate", t) == pytest.approx(expect, rel=1e-14)
 
     def test_long_time_plateau_and_decay(self):
-        assert psi_asymptotic(long(0.0), 100.0) == 8.0
+        assert long(0.0, "creep_rate", 100.0) == 8.0
         rate = float(compute_zeros(1.0, 1, 1e-12).zeros[0]) ** 2
         assert rate == pytest.approx(14.68, abs=0.005)
-        assert phi_asymptotic(long(1.0), 2.0) == pytest.approx(
+        assert long(1.0, "relax_rate", 2.0) == pytest.approx(
             8.0 * math.exp(-rate * 2.0), rel=1e-12
         )
 
     def test_long_time_creep_affine(self):
-        assert creep_asymptotic(long(0.0), 3.0) == pytest.approx(4.0 / 3.0 + 24.0, rel=1e-14)
+        assert long(0.0, "creep_compliance", 3.0) == pytest.approx(4.0 / 3.0 + 24.0, rel=1e-14)
 
     def test_material_functions_normalize_at_zero(self):
         for nu in ORDERS:
-            assert creep_asymptotic(short(nu), 1e-12) == pytest.approx(1.0, abs=1e-5)
-            assert modulus_asymptotic(short(nu), 1e-12) == pytest.approx(1.0, abs=1e-5)
+            assert short(nu, "creep_compliance", 1e-12) == pytest.approx(1.0, abs=1e-5)
+            assert short(nu, "relax_modulus", 1e-12) == pytest.approx(1.0, abs=1e-5)
 
     def test_short_modulus_goes_negative_unclamped(self):
         nu = 1.0
         t_neg = math.pi / (16.0 * (nu + 1.0) ** 2) * 1.5
-        assert modulus_asymptotic(short(nu), t_neg) < 0.0
+        assert short(nu, "relax_modulus", t_neg) < 0.0
 
     def test_short_amplitude_increases_with_order(self):
-        amps = [psi_asymptotic(short(nu), 1.0) for nu in ORDERS]
+        amps = [short(nu, "creep_rate", 1.0) for nu in ORDERS]
         assert all(a < b for a, b in zip(amps, amps[1:]))
 
     def test_log_log_slope_is_minus_half(self):
         for nu in ORDERS:
-            r = psi_asymptotic(short(nu), 1e-4) / psi_asymptotic(short(nu), 1e-2)
+            r = short(nu, "creep_rate", 1e-4) / short(nu, "creep_rate", 1e-2)
             assert r == pytest.approx(10.0, rel=1e-12)
 
     def test_branch_validation(self):
         with pytest.raises(ValueError):
-            AsymptoticBranch("sideways", 0.0)
-        with pytest.raises(ValueError):
-            psi_asymptotic(short(0.0), -1.0)
+            approximants(0.0, "sideways", 1.0)
+        for t in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="approximants"):
+                approximants(1.0, "relax_modulus", t)
+
+    def test_pair_matches_the_short_time_laws(self):
+        t = 0.02
+        for kind, law in (("creep_rate", psi_short_time), ("relax_rate", phi_short_time),
+                          ("creep_compliance", creep_short_time),
+                          ("relax_modulus", modulus_short_time)):
+            assert short(0.5, kind, t) == law(0.5, t)
 
 
 class TestSeriesConsistency:
@@ -81,17 +89,17 @@ class TestSeriesConsistency:
         # constant/affine terms dominate beyond t ~ 1
         for nu in ORDERS:
             for t in [1.0, 2.0, 5.0]:
-                assert abs(psi_asymptotic(long(nu), t) - psi(nu, t)) \
+                assert abs(long(nu, "creep_rate", t) - psi(nu, t)) \
                     <= 1e-6 * psi(nu, t)
-                assert abs(creep_asymptotic(long(nu), t) - creep_compliance(nu, t)) \
+                assert abs(long(nu, "creep_compliance", t) - creep_compliance(nu, t)) \
                     <= 1e-6 * creep_compliance(nu, t)
 
     def test_long_time_phi_modulus(self):
         for nu in ORDERS:
             for t in [5.0, 8.0]:
-                assert abs(phi_asymptotic(long(nu), t) - phi(nu, t)) \
+                assert abs(long(nu, "relax_rate", t) - phi(nu, t)) \
                     <= 1e-6 * phi(nu, t)
-                assert abs(modulus_asymptotic(long(nu), t) - relaxation_modulus(nu, t)) \
+                assert abs(long(nu, "relax_modulus", t) - relaxation_modulus(nu, t)) \
                     <= 1e-6 * relaxation_modulus(nu, t)
 
     def test_short_time_phi_at_half_order(self):
@@ -99,13 +107,13 @@ class TestSeriesConsistency:
         # correction is half the creep-rate one)
         t = 1e-4
         series = phi(0.5, t)
-        approx = phi_asymptotic(short(0.5), t)
+        approx = short(0.5, "relax_rate", t)
         assert abs(approx - series) / series <= 0.02
 
     def test_long_modulus_at_moderate_time(self):
         t = 2.0
         series = relaxation_modulus(1.0, t)
-        approx = modulus_asymptotic(long(1.0), t)
+        approx = long(1.0, "relax_modulus", t)
         assert abs(approx - series) / series <= 1e-3
 
     def test_short_time_scaled_limit_phi(self):

@@ -139,6 +139,13 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_non_finite_min_time(self, capsys):
+        code, out, err = run(capsys, "curve", "--kind", "creep_rate", "--order", "1",
+                             "--times", "1e-7,0.1", "--min-time", "nan")
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError" and "min_time" in record["message"]
+
     def test_missing_history_file(self, capsys):
         code, _, err = run(capsys, "respond", "--mode", "strain", "--order", "0",
                            "--history", "/nonexistent/h.csv")

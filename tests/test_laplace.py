@@ -160,8 +160,9 @@ class TestInvertNumeric:
             TalbotConfig(node_count=15)
         with pytest.raises(ValueError):
             TalbotConfig(node_count=14)
-        with pytest.raises(ValueError):
-            invert_numeric(lambda s: 1.0 / s, -1.0, CFG)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="invert_numeric: t"):
+                invert_numeric(lambda s: 1.0 / s, t, CFG)
 
 
 class TestNegativeAxisAndInput:
@@ -185,6 +186,11 @@ class TestNegativeAxisAndInput:
         sign = 1.0 if den_shift == 0.0 else -1.0
         ref = sign * 2.0 * (nu + 1.0) / x * sp.jv(nu + 1.0, x) / sp.jv(nu + den_shift, x)
         assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_reciprocity_rejects_non_finite_s(self, s):
+        with pytest.raises(ValueError, match="check_reciprocity"):
+            check_reciprocity(1.0, s)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 1.0)])
     def test_non_finite_s_rejected(self, bad):

@@ -31,15 +31,16 @@ ORDERS = [-0.5, 0.0, 0.5, 1.0]
 class TestPolicy:
     def test_defaults(self):
         p = SeriesPolicy()
-        assert p.tail_tol == 1e-12 and p.max_terms == 10000 and p.min_time == 1e-6
+        assert p.tail_tol == 1e-12 and p.min_time == 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SeriesPolicy(tail_tol=0.0)
         with pytest.raises(ValueError):
-            SeriesPolicy(max_terms=10)
-        with pytest.raises(ValueError):
             SeriesPolicy(min_time=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="min_time"):
+                SeriesPolicy(min_time=bad)
 
 
 class TestMemoryFunctions:

@@ -90,6 +90,9 @@ class TestComputeZeros:
             compute_zeros(0.0, 3, 1e-3)
         with pytest.raises(ValueError):
             compute_zeros(-1.5, 3, 1e-11)
+        for count in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="compute_zeros: count"):
+                compute_zeros(1.0, count)
 
     def test_zero_table_invariants(self):
         with pytest.raises(ValueError):
