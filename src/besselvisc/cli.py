@@ -10,6 +10,7 @@ with status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -54,6 +55,10 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, output: str | None) ->
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2, default=_fmt) + "\n"
+    _write(text, output)
+
+
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w") as handle:
             handle.write(text)
@@ -215,15 +220,11 @@ def _cmd_respond(args) -> int:
 
 def _cmd_validate(args) -> int:
     records = [r.as_dict() for r in run_all_checks()]
-    text = json.dumps(records, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(records, indent=2) + "\n", args.output)
     return 0 if all(r["passed"] for r in records) else 1
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="besselvisc",

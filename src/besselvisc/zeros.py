@@ -49,6 +49,8 @@ class ZeroTable:
 
 def mcmahon_zero(nu: float, n: int) -> float:
     """McMahon expansion estimate of the n-th zero of J_nu (three terms)."""
+    if not (-1.0 < nu < math.inf and 1 <= n < math.inf):
+        raise ValueError(f"mcmahon_zero needs a finite nu > -1 and n >= 1, got nu={nu}, n={n}")
     mu = 4.0 * nu * nu
     beta = (n + 0.5 * nu - 0.25) * math.pi
     b8 = 8.0 * beta

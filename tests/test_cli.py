@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from besselvisc import cli
 from besselvisc.cli import _emit, main
 
 
@@ -100,6 +101,52 @@ class TestOracleCheck:
             fields = row.split(",")
             assert float(fields[4]) <= 1e-6
             assert fields[5] == "true"
+
+    # The six points of the perfbench oracle fault slice, which failed under the
+    # old series-quotient ratio, plus two higher orders.
+    @pytest.mark.parametrize("order,t", [
+        (12, 0.3), (12, 1.0), (15, 0.3), (15, 1.0), (20, 0.3), (20, 1.0),
+        (30, 0.1), (30, 0.3), (60, 0.05), (60, 0.1)])
+    def test_high_orders_pass(self, capsys, order, t):
+        code, out, _ = run(capsys, "oracle-check", "--order", str(order), "--t", str(t))
+        assert code == 0
+        assert [row.split(",")[5] for row in out.strip().splitlines()[1:]] == ["true", "true"]
+
+    def test_relaxation_rate_below_double_range(self, capsys):
+        # phi(60, 0.3) ~ exp(-0.3 j_{60,1}^2) underflows in the series and the
+        # inversion alike, so the check compares 0.0 with 0.0.
+        code, out, _ = run(capsys, "oracle-check", "--order", "60", "--t", "0.3",
+                           "--function", "relax_rate")
+        assert code == 0
+        assert out.strip().splitlines()[1] == "relax_rate,0.3,0.0,0.0,0.0,true"
+
+
+class TestParserCache:
+    SEQUENCE = [
+        ["zeros", "--order", "0", "--count", "3"],
+        ["curve", "--kind", "relax_modulus", "--order", "0.5", "--grid", "log", "1e-3", "10", "5"],
+        ["curve", "--kind", "no_such_kind", "--order", "1", "--times", "0.1"],
+        ["oracle-check", "--order", "1", "--t", "0.1"],
+    ]
+
+    def _run_sequence(self, capsys):
+        results = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the argv itself
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_cached_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        cached = self._run_sequence(capsys)
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = self._run_sequence(capsys)
+        assert [code for code, _, _ in cached] == [0, 0, 2, 0]
+        assert cached == fresh
 
 
 class TestRespond:

@@ -164,6 +164,61 @@ class TestInvertNumeric:
             with pytest.raises(ValueError, match="invert_numeric: t"):
                 invert_numeric(lambda s: 1.0 / s, t, CFG)
 
+    def test_nan_agree_tol_rejected(self):
+        with pytest.raises(ValueError, match="agree_tol"):
+            TalbotConfig(agree_tol=math.nan)
+
+    def test_nan_shift_rejected(self):
+        # Used to return NaN silently.
+        with pytest.raises(ValueError, match="invert_numeric: shift"):
+            invert_numeric(lambda s: 1.0 / s, 1.0, CFG, shift=math.nan)
+
+    @pytest.mark.parametrize("compare_half,calls", [(False, 1), (True, 2)])
+    def test_one_array_call_per_contour(self, compare_half, calls):
+        seen = []
+
+        def f(s):
+            seen.append(s)
+            return 1.0 / s
+
+        cfg = TalbotConfig(compare_half=compare_half)
+        assert invert_numeric(f, 0.8, cfg) == pytest.approx(1.0, rel=1e-7)
+        assert len(seen) == calls
+        for s, m in zip(seen, (48, 24)):
+            assert s.ndim == 1 and s.dtype == complex and s.size <= m  # underflowing nodes dropped
+            assert s[0] == 2.0 * m / (5.0 * 0.8)
+
+
+class TestArrayTransforms:
+    @pytest.mark.parametrize("transform", [psi_tilde, phi_tilde])
+    def test_array_matches_scalars(self, transform):
+        # Real lanes keep their scalar paths bit for bit; the other lanes
+        # share one recurrence whose start depends on the whole array.
+        s = np.array([4.0, -1.0, 2.0 + 3.0j, -4.0 + 0.5j, 100.0 + 250.0j, 1e4 - 1e3j])
+        got = transform(1.3, s)
+        assert got.shape == s.shape and got.dtype == complex
+        for lane, si in zip(got, s):
+            scalar = transform(1.3, si.real if si.imag == 0.0 else complex(si))
+            if si.imag == 0.0:
+                assert isinstance(scalar, float) and lane == scalar
+            else:
+                assert isinstance(scalar, complex)
+                assert lane == pytest.approx(scalar, rel=1e-14)
+
+    def test_shifted_contour_keeps_the_real_lane_on_the_j_ratio(self):
+        nu = 12.0
+        shift = float(compute_zeros(nu, 1, 1e-12).zeros[0]) ** 2
+        s = np.array([30.0 - shift, 30.0 - shift + 5.0j])
+        got = phi_tilde(nu, s)
+        assert got[0] == phi_tilde(nu, 30.0 - shift)
+        assert got[1] == pytest.approx(phi_tilde(nu, complex(s[1])), rel=1e-14)
+
+    def test_array_pole_and_finiteness_checks(self):
+        with pytest.raises(PoleError):
+            psi_tilde(0.0, np.array([1.0 + 1.0j, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            phi_tilde(0.0, np.array([1.0 + 1.0j, complex(math.nan, 1.0)]))
+
 
 class TestNegativeAxisAndInput:
     @pytest.mark.parametrize("transform,den_shift", [(phi_tilde, 0.0), (psi_tilde, 2.0)])

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from besselvisc.specfun import Order, _jv_pair, bessel_i_ratio, bessel_j, bessel_j_deriv
+from besselvisc.specfun import (
+    Order,
+    _iv_ratio_nodes,
+    _jv_pair,
+    bessel_i_ratio,
+    bessel_j,
+    bessel_j_deriv,
+)
 
 # High-precision reference values (30+ digit arithmetic, frozen).
 RATIO_I2_I1_AT_10 = 0.85418530832368160972
@@ -91,6 +98,67 @@ class TestBesselIRatio:
     def test_non_finite_argument_rejected(self, z):
         with pytest.raises(ValueError, match="bessel_i_ratio"):
             bessel_i_ratio(2.0, 1.0, z)
+
+    def test_nan_order_rejected(self):
+        # Used to run the continued fraction on NaN and raise ConvergenceError.
+        with pytest.raises(ValueError, match="order_num"):
+            bessel_i_ratio(math.nan, 1.0, 1.0)
+
+
+def _talbot_nodes(t: float, m: int = 48) -> np.ndarray:
+    """The complex nodes of the fixed-Talbot contour that the inversion keeps."""
+    r = 2.0 * m / (5.0 * t)
+    theta = np.arange(1, m) * (math.pi / m)
+    s = r * theta * (1.0 / np.tan(theta) + 1j)
+    return s[s.real * t >= -745.0]
+
+
+def _mp_ratio(lo: float, z: np.ndarray) -> np.ndarray:
+    import mpmath
+
+    mpmath.mp.dps = 40
+    out = []
+    for zi in z:
+        w = mpmath.mpc(zi.real, zi.imag)
+        out.append(complex(mpmath.besseli(lo + 1, w) / mpmath.besseli(lo, w)))
+    return np.array(out)
+
+
+class TestIvRatioNodes:
+    ORDERS = (-0.95, 0.0, 1.0, 12.0, 20.0, 30.0, 60.0)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.01, 0.3, 1.0, 10.0])
+    def test_talbot_contours_against_mpmath(self, t):
+        z = np.sqrt(_talbot_nodes(t))
+        for nu in self.ORDERS:
+            for lo in (nu, nu + 1.0):  # phi_tilde and psi_tilde
+                got = _iv_ratio_nodes(lo, z)
+                ref = _mp_ratio(lo, z)
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13, (nu, lo)
+
+    def test_square_root_of_imaginary_axis(self):
+        z = np.sqrt(1j * np.logspace(-4, 6, 41))
+        for nu in self.ORDERS:
+            got = _iv_ratio_nodes(nu, z)
+            ref = _mp_ratio(nu, z)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13, nu
+
+    def test_doubling_the_depth_changes_nothing(self):
+        # The start index follows the largest |z|; one extra lane at
+        # |z| = 2 * depth starts every lane more than twice as deep.
+        for z in (np.sqrt(_talbot_nodes(1e-3)), np.sqrt(1j * np.logspace(-4, 6, 41))):
+            zmax = float(np.max(np.abs(z)))
+            depth = math.ceil(zmax + 14.0 * zmax ** (1.0 / 3.0) + 30.0)
+            for nu in self.ORDERS:
+                base = _iv_ratio_nodes(nu, z)
+                deep = _iv_ratio_nodes(nu, np.append(z, 2.0 * depth))[:-1]
+                assert np.max(np.abs(deep - base) / np.abs(base)) <= 1e-15, nu
+
+    def test_scalar_complex_path_matches_lanes(self):
+        z = np.sqrt(_talbot_nodes(0.3))
+        lanes = _iv_ratio_nodes(1.5, z)
+        for zi, lane in zip(z, lanes):
+            assert bessel_i_ratio(2.5, 1.5, complex(zi)) == pytest.approx(lane, rel=1e-15)
 
 
 class TestBesselJ:

@@ -144,6 +144,12 @@ class TestMcMahon:
         for n in range(5, 41):
             assert mcmahon_zero(0.7, n) == pytest.approx(float(tab.zeros[n - 1]), abs=2e-4)
 
+    @pytest.mark.parametrize("nu,n", [(1.0, math.nan), (math.nan, 3)])
+    def test_nan_argument_rejected(self, nu, n):
+        # Both used to return NaN.
+        with pytest.raises(ValueError, match="mcmahon_zero"):
+            mcmahon_zero(nu, n)
+
 
 class TestRayleighSum:
     def test_half_integer_exact(self):
