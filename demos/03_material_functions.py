@@ -31,9 +31,6 @@ for kind, label in (
     curves = [sample_curve(nu, kind, grid) for nu in orders]
     for i, t in enumerate(grid):
         print(f"{t:>12.5f}" + "".join(f"{c.values[i]:>14.6e}" for c in curves))
-    for c in curves:
-        c.validate_shape()
-    print("  (monotonicity validated)")
     print()
 
 print("Long-time creep compliance is affine, 2(nu+2)/(nu+3) + 4(nu+1)(nu+2) t:")

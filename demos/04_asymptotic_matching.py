@@ -2,13 +2,13 @@
 
 Short times follow the inverse-square-root law of a half-order fractional
 element; long times behave like a single-mode classical element.  The
-crossover report shows which branch is closer at each time, and the
-bisection locates the exchange point.
+crossover report shows which branch is closer at each time; on a fine
+grid its first long-time row locates the exchange point.
 """
 
 import numpy as np
 
-from besselvisc import crossover_report, find_crossover_time
+from besselvisc import crossover_report
 
 nu = 1.0
 grid = np.logspace(-4, 1, 11)
@@ -20,10 +20,12 @@ for kind in ("creep_rate", "relax_rate", "creep_compliance", "relax_modulus"):
         print(f"{t:>12.5f} {series:>14.6e} {short:>14.6e} {long_:>14.6e}  {best}")
     print()
 
-print("Error-exchange times (short and long branches equally wrong):")
+print("Error-exchange times (first time on a 400-point log grid where the long")
+print("branch is the closer one):")
+fine = np.logspace(-4, np.log10(5.0), 400)
 for kind in ("relax_rate", "relax_modulus"):
-    t_star = find_crossover_time(nu, kind, 1e-4, 5.0)
-    print(f"  {kind}: t* = {t_star:.6f}")
+    t_star = next(row[0] for row in crossover_report(nu, kind, fine) if row[4] == "long_time")
+    print(f"  {kind}: t* = {t_star:.4g}")
 
 print()
 print("Short-time law check: the series times sqrt(t) approaches "

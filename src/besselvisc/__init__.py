@@ -7,7 +7,7 @@ domain they are Dirichlet series over squared Bessel-function zeros, and
 the material functions follow by termwise integration.
 """
 
-from .asymptotics import approximants, crossover_report, find_crossover_time
+from .asymptotics import approximants, crossover_report
 from .errors import (
     BelowMinTimeError,
     BesselViscError,
@@ -55,7 +55,6 @@ __all__ = [
     "compute_zeros",
     "creep_compliance",
     "crossover_report",
-    "find_crossover_time",
     "invert_numeric",
     "mcmahon_zero",
     "phi",

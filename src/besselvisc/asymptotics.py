@@ -21,7 +21,6 @@ __all__ = [
     "creep_short_time",
     "modulus_short_time",
     "crossover_report",
-    "find_crossover_time",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -123,37 +122,3 @@ def crossover_report(order, kind: str, t_grid, policy=None):
         rows.append((float(t), float(series), short, long_, best))
     return rows
 
-
-def find_crossover_time(order, kind: str, t_lo: float = 1e-4, t_hi: float = 5.0,
-                        policy=None, iterations: int = 60) -> float:
-    """Time where the short- and long-branch errors coincide (bisection).
-
-    Assumes the short branch wins at t_lo and the long branch at t_hi;
-    raises ValueError when the bracket does not exhibit that exchange.
-    """
-    from . import timedomain
-
-    nu = order_value(order)
-    policy = policy if policy is not None else timedomain.DEFAULT_POLICY
-
-    def gap(t: float) -> float:
-        (_, series, short, long_, _), = crossover_report(nu, kind, [t], policy)
-        scale = max(abs(series), 1e-300)
-        return abs(short - series) / scale - abs(long_ - series) / scale
-
-    g_lo, g_hi = gap(t_lo), gap(t_hi)
-    if g_lo >= 0.0 or g_hi <= 0.0:
-        raise ValueError(
-            f"no short/long error exchange on [{t_lo}, {t_hi}] "
-            f"(gap endpoints {g_lo:.3g}, {g_hi:.3g})"
-        )
-    lo, hi = t_lo, t_hi
-    for _ in range(iterations):
-        mid = math.sqrt(lo * hi)  # bisect in log time
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
-    return math.sqrt(lo * hi)

@@ -189,13 +189,15 @@ def _cmd_oracle_check(args) -> int:
 def _read_history(path: str, interpolation: str) -> LoadHistory:
     times, values = [], []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             parts = [p.strip() for p in line.split(",")]
             if parts[0].lower() in ("time", "t"):
                 continue  # header
+            if len(parts) != 2:
+                raise ValueError(f"{path}, line {number}: expected time,value, got {line!r}")
             times.append(float(parts[0]))
             values.append(float(parts[1]))
     return LoadHistory(np.array(times), np.array(values), interpolation)

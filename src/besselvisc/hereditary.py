@@ -1,7 +1,8 @@
 """Hereditary-integral response engine for arbitrary causal load histories.
 
 The convolution kernels are the model's rate functions, expanded into
-exponential modes (see :func:`besselvisc.timedomain.prony_modes`).  Each
+exponential modes (see :func:`besselvisc.timedomain.prony_modes`), built
+once per call on the same sized zero table as the curve evaluators.  Each
 mode carries one internal state updated exactly per step for piecewise
 constant or linear inputs, so the unit-step responses reproduce the
 tail-corrected material functions identically.
@@ -23,14 +24,7 @@ import numpy as np
 
 from .errors import ExtrapolationError
 from .specfun import order_value
-from .timedomain import (
-    DEFAULT_POLICY,
-    MaterialCurve,
-    SeriesPolicy,
-    _sized_table,
-    _zeros_order,
-    prony_modes,
-)
+from .timedomain import DEFAULT_POLICY, MaterialCurve, SeriesPolicy, _modes
 
 __all__ = ["LoadHistory", "strain_response", "stress_response"]
 
@@ -111,11 +105,9 @@ def _respond(nu: float, kind: str, history: LoadHistory, t_eval, policy: SeriesP
     # kernel lags down to t_kernel; shorter lags ride on the surrogate tail
     # mode, whose integrated weight is exact.
     t_kernel = max(policy.min_time, 1e-4)
-    table = _sized_table(_zeros_order(nu, kind), t_kernel, policy, 4.0 * (nu + 1.0))
-    modes = prony_modes(nu, kind, table)
-
+    modes = _modes(nu, kind, t_kernel, policy)
     rates = np.concatenate([modes.rates, [modes.tail_rate]])
-    amps = np.concatenate([modes.amps, [modes.tail_amp]])
+    amps = np.concatenate([np.full(modes.rates.shape, modes.amp), [modes.tail_amp]])
 
     nodes = history._read(grid)
     v0 = nodes[:-1]  # input at the start and end of each step

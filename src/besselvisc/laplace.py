@@ -166,13 +166,16 @@ def _talbot_sum(f, t: float, m: int, r: float) -> float:
     """Fixed-Talbot quadrature with m nodes and base abscissa r.
 
     The theta = 0 node s = r sits on the positive real axis with half
-    weight; nodes where exp(s t) underflows are dropped before f sees them.
+    weight.  Nodes where exp(s t) is below e^-40 exp(r t), far under the
+    rounding floor, are dropped before f sees them (and before they set
+    the I-ratio recurrence depth); the kept set depends on m only.
     """
     theta = np.arange(1, m) * (math.pi / m)
     cot = 1.0 / np.tan(theta)
     s = np.concatenate(([r], r * theta * (cot + 1j)))
     sigma = np.concatenate(([0.5], 1.0 + 1j * (theta * (1.0 + cot * cot) - cot)))
-    s, sigma = s[s.real * t >= -745.0], sigma[s.real * t >= -745.0]
+    keep = (s.real - r) * t >= -40.0
+    s, sigma = s[keep], sigma[keep]
     return (r / m) * float(np.sum((np.exp(s * t) * f(s) * sigma).real))
 
 

@@ -1,6 +1,9 @@
 """Time-domain memory and material functions as truncated Dirichlet series.
 
 The memory functions are infinite Prony series over squared Bessel zeros.
+Every evaluator reads one :class:`PronyModes` (the rates, their common
+amplitude, the creep constant and a surrogate tail mode), built once per
+call on a zero table sized for the smallest time evaluated.
 Truncation is adaptive: a geometric comparison against the (increasing)
 gaps between consecutive decay rates certifies that the neglected tail
 stays below the policy's tolerance, and the evaluator reports how many
@@ -92,50 +95,36 @@ class MaterialCurve:
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
 
-    def validate_shape(self, tol: float = 1e-9) -> None:
-        """Check the monotonicity expected of the canonical curve kinds."""
-        scale = max(float(np.max(np.abs(self.values))), 1.0)
-        d = np.diff(self.values)
-        if self.kind == "creep_compliance":
-            bad = d < -tol * scale
-        elif self.kind in ("relax_modulus", "creep_rate", "relax_rate"):
-            bad = d > tol * scale
-        else:
-            return
-        if np.any(bad):
-            raise ValueError(f"{self.kind} curve violates monotonicity")
 
-
-# --- mode bookkeeping --------------------------------------------------------
+# --- the modes of one side ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PronyModes:
     """Exponential-mode decomposition of a memory function.
 
-    ``rates``/``amps`` are the tabulated modes; ``constant`` is the
-    Newtonian (zero-rate) contribution of the creep kernel.  The tail of
-    the infinite spectrum is lumped into one surrogate mode whose
-    integrated weight matches the exact inverse-square remainder, so step
-    responses built from these modes agree with the tail-corrected
-    material functions identically.
+    Each tabulated mode decays at one of ``rates`` with the common
+    amplitude ``amp`` = 4(nu+1); ``constant`` is the Newtonian (zero-rate)
+    contribution of the creep kernel.  ``gap_min[k]`` is the smallest gap
+    between consecutive rates from index k on, which certifies truncated
+    sums.  The tail of the infinite spectrum is lumped into one surrogate
+    mode whose integrated weight matches the exact inverse-square
+    remainder, so step responses built from these modes agree with the
+    tail-corrected material functions identically.
     """
 
     nu: float
+    kind: str  # 'creep' or 'relax'
+    amp: float
     constant: float
-    amps: np.ndarray
     rates: np.ndarray
+    gap_min: np.ndarray
     tail_weight: float  # integrated weight of the surrogate tail mode
     tail_rate: float
 
     @property
     def tail_amp(self) -> float:
         return self.tail_weight * self.tail_rate
-
-
-def _rayleigh_remainder(zeros_order: float, table: ZeroTable) -> float:
-    """Exact remainder of sum(1/j^2) beyond the table: 1/(4(o+1)) - partial."""
-    return 0.25 / (zeros_order + 1.0) - float(np.sum(1.0 / table.rates))
 
 
 def prony_modes(order, kind: str, table: ZeroTable) -> PronyModes:
@@ -150,17 +139,39 @@ def prony_modes(order, kind: str, table: ZeroTable) -> PronyModes:
         )
     amp = 4.0 * (nu + 1.0)
     rates = table.rates
-    remainder = _rayleigh_remainder(zeros_order, table)
-    tail_rate = mcmahon_zero(zeros_order, len(table) + 1) ** 2
-    constant = 4.0 * (nu + 1.0) * (nu + 2.0) if kind == "creep" else 0.0
+    # Exact remainder of sum(1/j^2) beyond the table: 1/(4(o+1)) - partial.
+    remainder = 0.25 / (zeros_order + 1.0) - float(np.sum(1.0 / rates))
     return PronyModes(
         nu=nu,
-        constant=constant,
-        amps=np.full(rates.shape, amp),
+        kind=kind,
+        amp=amp,
+        constant=4.0 * (nu + 1.0) * (nu + 2.0) if kind == "creep" else 0.0,
         rates=rates,
+        gap_min=np.minimum.accumulate(np.diff(rates)[::-1])[::-1],
         tail_weight=amp * remainder,
-        tail_rate=tail_rate,
+        tail_rate=mcmahon_zero(zeros_order, len(table) + 1) ** 2,
     )
+
+
+_TABLE_QUANTUM = 64  # table sizes are rounded up to a multiple, for cache friendliness
+
+
+def _modes(nu: float, side: str, t: float, policy: SeriesPolicy) -> PronyModes:
+    """Modes of one side on a zero table that certifies the tail at every time >= t.
+
+    ``t`` is the smallest positive time to be evaluated, floored at
+    ``policy.min_time``.  ``t = 0`` means that only t = 0 is evaluated:
+    there the tail correction of the material functions is the exact
+    inverse-square remainder, so the minimum table gives the exact value.
+    """
+    zeros_order = _zeros_order(nu, side)
+    count = _TABLE_QUANTUM
+    if t > 0.0:
+        count = required_zero_count(zeros_order, max(t, policy.min_time),
+                                    policy.tail_tol, 4.0 * (nu + 1.0))
+        count = min(count, _MAX_TERMS + 1)
+    count = _TABLE_QUANTUM * math.ceil(count / _TABLE_QUANTUM)
+    return prony_modes(nu, side, compute_zeros(zeros_order, count, DEFAULT_ZERO_TOL))
 
 
 # --- adaptive truncation -----------------------------------------------------
@@ -176,8 +187,8 @@ def required_zero_count(zeros_order: float, t: float, tail_tol: float, amplitude
     return max(4, math.ceil(1.15 * n) + 6)
 
 
-def _certified_terms(table: ZeroTable, t: float, tail_tol: float, amplitude: float) -> int:
-    """Smallest m with amplitude * tail(m) <= tail_tol, or raise.
+def _certified_terms(modes: PronyModes, t: float, tail_tol: float) -> int:
+    """Smallest m with amp * tail(m) <= tail_tol, or raise.
 
     The tail after m kept terms is bounded geometrically by the smallest
     gap between consecutive decay rates at or beyond the first neglected
@@ -186,27 +197,27 @@ def _certified_terms(table: ZeroTable, t: float, tail_tol: float, amplitude: flo
     the in-table suffix minimum is used and the table must end in the
     increasing-gap regime for the beyond-table portion to be covered.
     """
-    rates = table.rates
+    rates, gap_min = modes.rates, modes.gap_min
     n = rates.size
-    gaps = np.diff(rates)
-    if n < 3 or gaps[-1] <= gaps[-2]:
+    # The suffix minimum is flat at its end exactly when the last gap is
+    # no larger than the one before it.
+    if n < 3 or gap_min[-2] == gap_min[-1]:
         raise InsufficientZerosError(
             f"table of {n} zeros ends before its rate gaps start growing; "
             "extend it to certify tail bounds",
             required_count=max(2 * n, 16),
         )
-    suffix_min = np.minimum.accumulate(gaps[::-1])[::-1]
     cap = min(n - 1, _MAX_TERMS)
     for m in range(1, cap + 1):
         lam_next = rates[m]  # first neglected rate
-        gap = float(suffix_min[m]) if m < gaps.size else float(gaps[-1])
+        gap = float(gap_min[min(m, n - 2)])
         gt = gap * t
         denom = -math.expm1(-gt) if gt < 700.0 else 1.0
         lt = lam_next * t
         head = math.exp(-lt) if lt < 745.0 else 0.0
-        if amplitude * head / denom <= tail_tol:
+        if modes.amp * head / denom <= tail_tol:
             return m
-    required = required_zero_count(table.nu, t, tail_tol, amplitude)
+    required = required_zero_count(_zeros_order(modes.nu, modes.kind), t, tail_tol, modes.amp)
     raise InsufficientZerosError(
         f"table of {n} zeros cannot certify tail <= {tail_tol} at t={t}; "
         f"approximately {required} zeros needed",
@@ -217,24 +228,23 @@ def _certified_terms(table: ZeroTable, t: float, tail_tol: float, amplitude: flo
 # --- evaluators --------------------------------------------------------------
 
 
-_TABLE_QUANTUM = 64  # table sizes are rounded up to a multiple, for cache friendliness
+def _rate(modes: PronyModes, t: float, tail_tol: float) -> float:
+    """Memory function at t >= min_time: its constant plus the Dirichlet series."""
+    m = _certified_terms(modes, t, tail_tol)
+    return modes.constant + modes.amp * float(np.sum(np.exp(-modes.rates[:m] * t)))
 
 
-def _sized_table(zeros_order: float, t: float, policy: SeriesPolicy, amplitude: float) -> ZeroTable:
-    """Zero table that certifies the tail at every time >= t.
-
-    ``t`` is the smallest positive time to be evaluated, floored at
-    ``policy.min_time``.  ``t = 0`` means that only t = 0 is evaluated:
-    there the tail correction of the material functions is the exact
-    inverse-square remainder, so the minimum table gives the exact value.
-    """
-    count = _TABLE_QUANTUM
-    if t > 0.0:
-        count = required_zero_count(zeros_order, max(t, policy.min_time),
-                                    policy.tail_tol, amplitude)
-        count = min(count, _MAX_TERMS + 1)
-    count = _TABLE_QUANTUM * math.ceil(count / _TABLE_QUANTUM)
-    return compute_zeros(zeros_order, count, DEFAULT_ZERO_TOL)
+def _material(modes: PronyModes, t: float, return_tail_bound: bool = False):
+    """Material function at t >= 0, tail-corrected to 1 at t = 0."""
+    nu, amp, rates = modes.nu, modes.amp, modes.rates[:_MAX_TERMS]
+    decay_sum = float(np.sum(np.exp(-rates * t) / rates))
+    tail_term = (modes.tail_weight / amp) * math.exp(-min(modes.tail_rate * t, 745.0))
+    value = amp * (decay_sum + tail_term)
+    if modes.kind == "creep":
+        value = 2.0 * (nu + 2.0) / (nu + 3.0) + modes.constant * t - value
+    if return_tail_bound:
+        return value, amp * tail_term
+    return value
 
 
 def _finite_time(t) -> float:
@@ -244,64 +254,36 @@ def _finite_time(t) -> float:
     return t
 
 
-def _rate(nu: float, side: str, t: float, policy: SeriesPolicy,
-          zeros: ZeroTable | None) -> float:
-    """Memory function of one side: its constant plus the Dirichlet series."""
+def _rate_at(order, side: str, t, policy: SeriesPolicy) -> float:
+    nu, t = order_value(order), _finite_time(t)
     if t < policy.min_time:
         raise BelowMinTimeError(
             f"t={t} is below min_time={policy.min_time}; "
             "use the short-time asymptotic branch"
         )
-    amp = 4.0 * (nu + 1.0)
-    if zeros is None:
-        zeros = _sized_table(_zeros_order(nu, side), t, policy, amp)
-    m = _certified_terms(zeros, t, policy.tail_tol, amp)
-    decay = np.exp(-zeros.rates[:m] * t)
-    constant = 4.0 * (nu + 1.0) * (nu + 2.0) if side == "creep" else 0.0
-    return constant + amp * float(np.sum(decay))
+    return _rate(_modes(nu, side, t, policy), t, policy.tail_tol)
 
 
-def _material(nu: float, side: str, t: float, policy: SeriesPolicy,
-              zeros: ZeroTable | None, return_tail_bound: bool = False):
-    """Material function of one side, tail-corrected to 1 at t = 0."""
+def _material_at(order, side: str, t, policy: SeriesPolicy, return_tail_bound: bool):
+    nu, t = order_value(order), _finite_time(t)
     if t < 0.0:
         raise ValueError(f"material functions require t >= 0, got {t}")
-    amp = 4.0 * (nu + 1.0)
-    if zeros is None:
-        zeros = _sized_table(_zeros_order(nu, side), t, policy, amp)
-    modes = prony_modes(nu, side, zeros)
-    rates = modes.rates[:_MAX_TERMS]
-    decay_sum = float(np.sum(np.exp(-rates * t) / rates))
-    tail_term = (modes.tail_weight / amp) * math.exp(-min(modes.tail_rate * t, 745.0))
-    value = amp * (decay_sum + tail_term)
-    if side == "creep":
-        value = 2.0 * (nu + 2.0) / (nu + 3.0) + modes.constant * t - value
-    if return_tail_bound:
-        return value, amp * tail_term
-    return value
+    return _material(_modes(nu, side, t, policy), t, return_tail_bound)
 
 
-def psi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
-        zeros: ZeroTable | None = None) -> float:
-    """Rate-of-creep memory function: constant + Dirichlet series.
-
-    ``zeros`` must tabulate zeros of order nu+2; when omitted, a table
-    sized for (t, tail_tol) is computed and memoized internally.
-    """
-    return _rate(order_value(order), "creep", _finite_time(t), policy, zeros)
+def psi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+    """Rate-of-creep memory function: constant + Dirichlet series over the
+    squared zeros of order nu+2."""
+    return _rate_at(order, "creep", t, policy)
 
 
-def phi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
-        zeros: ZeroTable | None = None) -> float:
-    """Rate-of-relaxation memory function: pure Dirichlet series.
-
-    ``zeros`` must tabulate zeros of order nu.
-    """
-    return _rate(order_value(order), "relax", _finite_time(t), policy, zeros)
+def phi(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+    """Rate-of-relaxation memory function: pure Dirichlet series over the
+    squared zeros of order nu."""
+    return _rate_at(order, "relax", t, policy)
 
 
 def creep_compliance(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
-                     zeros: ZeroTable | None = None,
                      return_tail_bound: bool = False):
     """Creep compliance, tail-corrected so that the t = 0 value is exactly 1.
 
@@ -310,16 +292,13 @@ def creep_compliance(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
     inverse-square remainder decaying at the first untabulated rate, which
     also bounds the residual error (reported when requested).
     """
-    return _material(order_value(order), "creep", _finite_time(t), policy, zeros,
-                     return_tail_bound)
+    return _material_at(order, "creep", t, policy, return_tail_bound)
 
 
 def relaxation_modulus(order, t: float, policy: SeriesPolicy = DEFAULT_POLICY,
-                       zeros: ZeroTable | None = None,
                        return_tail_bound: bool = False):
     """Relaxation modulus, tail-corrected so that the t = 0 value is exactly 1."""
-    return _material(order_value(order), "relax", _finite_time(t), policy, zeros,
-                     return_tail_bound)
+    return _material_at(order, "relax", t, policy, return_tail_bound)
 
 
 def sample_curve(order, kind: str, t_grid, policy: SeriesPolicy = DEFAULT_POLICY) -> MaterialCurve:
@@ -327,6 +306,7 @@ def sample_curve(order, kind: str, t_grid, policy: SeriesPolicy = DEFAULT_POLICY
 
     Memory-function samples below policy.min_time use the short-time
     asymptotic closed form and are flagged as such in the provenance.
+    The modes are built once, for the smallest series time of the grid.
     """
     from . import asymptotics  # deferred: asymptotics imports this module
 
@@ -346,27 +326,20 @@ def sample_curve(order, kind: str, t_grid, policy: SeriesPolicy = DEFAULT_POLICY
 
     side = kind.partition("_")[0]  # 'creep' or 'relax'
     series_times = grid[grid >= policy.min_time] if is_memory else grid
-    table = None
     if series_times.size:
         positive = series_times[series_times > 0.0]
-        t_min = float(positive[0]) if positive.size else 0.0
-        table = _sized_table(_zeros_order(nu, side), t_min, policy, 4.0 * (nu + 1.0))
+        modes = _modes(nu, side, float(positive[0]) if positive.size else 0.0, policy)
 
-    evaluator = _rate if is_memory else _material
-    short_form = {
-        "creep_rate": asymptotics.psi_short_time,
-        "relax_rate": asymptotics.phi_short_time,
-    }.get(kind)
-
+    short_form = asymptotics.psi_short_time if side == "creep" else asymptotics.phi_short_time
     values = np.empty(grid.shape)
-    provenance = []
-    for i, t in enumerate(grid):
-        t = float(t)
-        if is_memory and t < policy.min_time:
-            values[i] = short_form(nu, t)
-            provenance.append("asymptotic_short")
+    provenance = ["series"] * grid.size
+    for i, t in enumerate(map(float, grid)):
+        if not is_memory:
+            values[i] = _material(modes, t)
+        elif t >= policy.min_time:
+            values[i] = _rate(modes, t, policy.tail_tol)
         else:
-            values[i] = evaluator(nu, side, t, policy, table)
-            provenance.append("series")
+            values[i] = short_form(nu, t)
+            provenance[i] = "asymptotic_short"
     return MaterialCurve(nu=nu, kind=kind, times=grid, values=values,
                          provenance=tuple(provenance))

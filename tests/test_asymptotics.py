@@ -7,7 +7,6 @@ from besselvisc.asymptotics import (
     approximants,
     creep_short_time,
     crossover_report,
-    find_crossover_time,
     modulus_short_time,
     phi_short_time,
     psi_short_time,
@@ -168,12 +167,6 @@ class TestCrossoverReport:
         assert bests[-1] == "long_time"
         flip = bests.index("long_time")
         assert all(b == "long_time" for b in bests[flip:])
-
-    def test_crossover_time_bisection(self):
-        t_star = find_crossover_time(0.0, "relax_rate", 1e-4, 5.0)
-        rows = crossover_report(0.0, "relax_rate", [t_star * 0.8, t_star * 1.25])
-        assert rows[0][4] == "short_time"
-        assert rows[1][4] == "long_time"
 
     def test_all_kinds_report(self):
         for kind in ("creep_rate", "relax_rate", "creep_compliance", "relax_modulus"):

@@ -198,6 +198,16 @@ class TestErrors:
                            "--history", "/nonexistent/h.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["1", "0.5,0,5"], ids=["one_field", "three_fields"])
+    def test_history_row_without_two_fields(self, capsys, tmp_path, row):
+        hist = tmp_path / "h.csv"
+        hist.write_text(f"time,value\n0.0,0.0\n{row}\n1.0,1.0\n")
+        code, out, err = run(capsys, "respond", "--mode", "strain", "--order", "0",
+                             "--history", str(hist))
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError" and "line 3" in record["message"]
+
     @pytest.mark.parametrize("history,times", [
         ("time,value\n0.0,1.0\n1.0,nan\n", "0.0,0.5"),
         ("time,value\n0.0,1.0\n1.0,1.0\n", "0.0,nan"),

@@ -341,13 +341,11 @@ class TestExactSuperposition:
 def _loop_response(nu, creep, history, t_eval):
     """The step-by-step engine the block engine replaced: one exact update of
     every mode per merged-grid step, reading the history one point at a time."""
-    from besselvisc.timedomain import DEFAULT_POLICY, _sized_table, prony_modes
+    from besselvisc.timedomain import DEFAULT_POLICY, _modes
 
-    zeros_order = nu + 2.0 if creep else nu
-    table = _sized_table(zeros_order, 1e-4, DEFAULT_POLICY, 4.0 * (nu + 1.0))
-    modes = prony_modes(nu, "creep" if creep else "relax", table)
+    modes = _modes(nu, "creep" if creep else "relax", 1e-4, DEFAULT_POLICY)
     rates = np.concatenate([modes.rates, [modes.tail_rate]])
-    amps = np.concatenate([modes.amps, [modes.tail_amp]])
+    amps = np.concatenate([np.full(modes.rates.shape, modes.amp), [modes.tail_amp]])
     grid = np.unique(np.concatenate([history.times, t_eval]))
     state, running, out = np.zeros_like(rates), 0.0, {}
     for i in range(grid.size):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from besselvisc import laplace
 from besselvisc.errors import PoleError
 from besselvisc.laplace import (
     TalbotConfig,
@@ -185,8 +186,41 @@ class TestInvertNumeric:
         assert invert_numeric(f, 0.8, cfg) == pytest.approx(1.0, rel=1e-7)
         assert len(seen) == calls
         for s, m in zip(seen, (48, 24)):
-            assert s.ndim == 1 and s.dtype == complex and s.size <= m  # underflowing nodes dropped
+            assert s.ndim == 1 and s.dtype == complex and s.size <= m  # far nodes dropped
             assert s[0] == 2.0 * m / (5.0 * 0.8)
+
+
+def _talbot_sum_underflow_cut(f, t, m, r):
+    """The contour sum with the former cut, which kept every node where
+    exp(s t) does not underflow (Re(s) t >= -745)."""
+    theta = np.arange(1, m) * (math.pi / m)
+    cot = 1.0 / np.tan(theta)
+    s = np.concatenate(([r], r * theta * (cot + 1j)))
+    sigma = np.concatenate(([0.5], 1.0 + 1j * (theta * (1.0 + cot * cot) - cot)))
+    keep = s.real * t >= -745.0
+    return (r / m) * float(np.sum((np.exp(s[keep] * t) * f(s[keep]) * sigma[keep]).real))
+
+
+class TestContourCut:
+    @pytest.mark.parametrize("t", [1e-3, 0.01])
+    @pytest.mark.parametrize("nu", [-0.75, 0.5, 3.5, 12.0])
+    def test_far_nodes_do_not_move_the_sum(self, nu, t):
+        # Nodes more than e^40 below the theta = 0 node weigh far under the
+        # quadrature's rounding floor; dropping them leaves the value alone.
+        r = 2.0 * 48 / (5.0 * t)
+        for transform in (psi_tilde, phi_tilde):
+            f = lambda s: transform(nu, s)  # noqa: E731
+            got = laplace._talbot_sum(f, t, 48, r)
+            old = _talbot_sum_underflow_cut(f, t, 48, r)
+            assert abs(got - old) <= 1e-15 * abs(old)
+
+    def test_kept_nodes_depend_on_the_node_count_only(self):
+        sizes = []
+        for t in (1e-3, 0.3, 5.0):
+            seen = []
+            laplace._talbot_sum(lambda s: seen.append(s) or 1.0 / s, t, 48, 2.0 * 48 / (5.0 * t))
+            sizes.append(seen[0].size)
+        assert sizes == [32, 32, 32]
 
 
 class TestArrayTransforms:

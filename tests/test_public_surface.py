@@ -6,12 +6,21 @@ a stale entry, so each list is checked against its module.
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
 from besselvisc.cli import main
 from besselvisc.laplace import TalbotConfig
-from besselvisc.timedomain import SeriesPolicy
+from besselvisc.timedomain import (
+    MaterialCurve,
+    PronyModes,
+    SeriesPolicy,
+    creep_compliance,
+    phi,
+    psi,
+    relaxation_modulus,
+)
 
 MODULES = ["besselvisc"] + [f"besselvisc.{name}" for name in (
     "specfun", "zeros", "timedomain", "asymptotics", "laplace", "hereditary",
@@ -21,11 +30,12 @@ REMOVED = {
     "besselvisc.specfun": ["gamma", "bessel_i", "EvalAccuracy", "DEFAULT_ACCURACY",
                            "_iv_asymptotic_ok"],
     "besselvisc.asymptotics": ["AsymptoticBranch", "psi_asymptotic", "phi_asymptotic",
-                               "creep_asymptotic", "modulus_asymptotic"],
-    "besselvisc.timedomain": ["PROVENANCES", "_CREEP_KINDS"],
+                               "creep_asymptotic", "modulus_asymptotic", "find_crossover_time"],
+    "besselvisc.timedomain": ["PROVENANCES", "_CREEP_KINDS", "_sized_table",
+                              "_rayleigh_remainder"],
     "besselvisc": ["gamma", "bessel_i", "EvalAccuracy", "DEFAULT_ACCURACY",
                    "AsymptoticBranch", "psi_asymptotic", "phi_asymptotic",
-                   "creep_asymptotic", "modulus_asymptotic"],
+                   "creep_asymptotic", "modulus_asymptotic", "find_crossover_time"],
 }
 
 
@@ -56,3 +66,12 @@ def test_knobs_that_nothing_set_are_gone(capsys):
               "--max-terms", "500"])
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+def test_one_model_representation():
+    # Evaluators size their own modes; a caller-supplied table is gone.
+    for fn in (psi, phi, creep_compliance, relaxation_modulus):
+        assert "zeros" not in inspect.signature(fn).parameters
+    fields = [f.name for f in dataclasses.fields(PronyModes)]
+    assert "amp" in fields and "amps" not in fields
+    assert not hasattr(MaterialCurve, "validate_shape")

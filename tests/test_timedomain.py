@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from besselvisc import timedomain
 from besselvisc.errors import BelowMinTimeError, InsufficientZerosError
+from besselvisc.hereditary import LoadHistory, strain_response, stress_response
 from besselvisc.laplace import TalbotConfig, invert_numeric, psi_tilde
 from besselvisc.timedomain import (
+    CURVE_KINDS,
     MaterialCurve,
     SeriesPolicy,
     creep_compliance,
@@ -13,6 +16,7 @@ from besselvisc.timedomain import (
     prony_modes,
     psi,
     relaxation_modulus,
+    _certified_terms,
     required_zero_count,
     sample_curve,
 )
@@ -96,11 +100,11 @@ class TestMemoryFunctions:
     def test_insufficient_zeros_carries_requirement(self):
         short_table = compute_zeros(2.0, 12, 1e-11)
         with pytest.raises(InsufficientZerosError) as err:
-            psi(0.0, 1e-3, SeriesPolicy(), short_table)
+            _certified_terms(prony_modes(0.0, "creep", short_table), 1e-3, SeriesPolicy().tail_tol)
         assert err.value.required_count > 12
         # the advertised requirement is actually sufficient
         bigger = compute_zeros(2.0, err.value.required_count, 1e-11)
-        psi(0.0, 1e-3, SeriesPolicy(), bigger)
+        _certified_terms(prony_modes(0.0, "creep", bigger), 1e-3, SeriesPolicy().tail_tol)
 
     def test_truncation_scaling_estimate(self):
         # required term count grows like sqrt(log(1/tol)/t)/pi
@@ -235,7 +239,7 @@ class TestPronyModes:
     def test_step_weights_close_to_normalization(self):
         table = compute_zeros(2.0, 120, 1e-11)
         modes = prony_modes(0.0, "creep", table)
-        total = float(np.sum(modes.amps / modes.rates)) + modes.tail_weight
+        total = modes.amp * float(np.sum(1.0 / modes.rates)) + modes.tail_weight
         # sum over all modes of amp/rate = 4(nu+1)/(4(nu+3)) = (nu+1)/(nu+3)
         assert total == pytest.approx(1.0 / 3.0, rel=1e-13)
 
@@ -259,10 +263,46 @@ class TestSampleCurve:
         assert set(c.provenance[3:]) == {"series"}
 
     def test_monotone_curves(self):
+        # psi is flat at long times, so each step may go the wrong way by
+        # rounding: 1e-9 of the curve's scale.
         for kind in ("creep_rate", "relax_rate", "creep_compliance", "relax_modulus"):
             grid = np.logspace(-3, 1, 30)
             c = sample_curve(0.0, kind, grid)
-            c.validate_shape()
+            slack = 1e-9 * max(float(np.max(np.abs(c.values))), 1.0)
+            sign = 1.0 if kind == "creep_compliance" else -1.0
+            assert np.all(sign * np.diff(c.values) >= -slack)
+
+    def test_modes_built_once_per_curve(self, monkeypatch):
+        built = []
+        real = timedomain.prony_modes
+
+        def counting(*args):
+            built.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(timedomain, "prony_modes", counting)
+        for kind in CURVE_KINDS:
+            sample_curve(0.5, kind, np.logspace(-7, 1, 40))
+        assert built == ["creep", "relax", "creep", "relax"]
+
+    @pytest.mark.parametrize("call", [
+        lambda: sample_curve(1.0, "relax_modulus", np.concatenate([[0.0], np.logspace(-3, 1, 50)])),
+        lambda: sample_curve(1.0, "creep_rate", np.logspace(-7, 1, 50)),
+        lambda: strain_response(1.0, LoadHistory([0.0, 2.0], [1.0, 1.0]), np.linspace(0, 2, 41)),
+        lambda: stress_response(1.0, LoadHistory([0.0, 2.0], [0.0, 1.0]), np.linspace(0, 2, 41)),
+    ], ids=["relax_modulus", "creep_rate", "strain", "stress"])
+    def test_one_zero_table_per_call(self, monkeypatch, call):
+        # Each call sizes one table, inside its own span of the call tree.
+        tables = []
+        real = timedomain.compute_zeros
+
+        def counting(*args):
+            tables.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(timedomain, "compute_zeros", counting)
+        call()
+        assert len(tables) == 1
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
